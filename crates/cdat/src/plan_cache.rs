@@ -1,29 +1,28 @@
-//! Workspace-wide cache of [`RegridPlan`]s: a bounded LRU keyed by the
-//! `(source grid, target grid, method)` fingerprint from
-//! [`crate::regrid_plan::plan_key`], with hit/miss/dedup/eviction counters
-//! so benches and diagnostics can verify reuse. The `regrid::{bilinear,
-//! conservative}` wrappers route through the process-global instance, so
-//! every animation frame, spreadsheet cell or hyperwall panel that repeats
-//! a grid pair pays the planning cost once.
+//! Workspace-wide cache of [`RegridPlan`]s: a [`cdms::lru::Lru`] keyed by
+//! the `(source grid, target grid, method)` fingerprint from
+//! [`crate::regrid_plan::plan_key`], one unit of weight per plan, with
+//! hit/miss/dedup/eviction counters so benches and diagnostics can verify
+//! reuse. The `regrid::{bilinear, conservative}` wrappers route through
+//! the process-global instance, so every animation frame, spreadsheet cell
+//! or hyperwall panel that repeats a grid pair pays the planning cost once.
 //!
-//! Two layers:
-//!
-//! * [`PlanCache`] — the single-owner LRU (bookkeeping only, no locking).
-//! * [`SharedPlanCache`] — the concurrent front the multi-tenant session
-//!   service hits from many threads at once. The map lock is **never held
-//!   while a plan builds** (builds for different keys proceed in
-//!   parallel), and concurrent requests for the *same* key are
-//!   deduplicated: one thread builds, the rest wait on that build and are
-//!   counted in [`CacheStats::dedups`]. Keys are content-addressed grid
-//!   fingerprints, so "same key" means "same work" across sessions.
+//! [`SharedPlanCache`] is safe to hit from many threads at once (the
+//! multi-tenant session service does). The LRU lock is **never held while
+//! a plan builds** (builds for different keys proceed in parallel), and
+//! concurrent requests for the *same* key are deduplicated: one thread
+//! builds, the rest wait on that build and are counted in
+//! [`CacheStats::dedups`]. Keys are content-addressed grid fingerprints,
+//! so "same key" means "same work" across sessions.
 //!
 //! On the dv3dlint `indexing_hot_paths` list: lookups run inside the
 //! interactive render loop and must not panic.
 
 use crate::regrid_plan::RegridPlan;
+use cdms::lru::Lru;
 use cdms::Result;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 /// Default capacity of the process-global cache: a hyperwall's worth of
@@ -40,127 +39,8 @@ pub struct CacheStats {
     /// Plans dropped to respect the capacity bound.
     pub evictions: u64,
     /// Lookups that piggybacked on another thread's in-flight build of the
-    /// same key instead of building their own copy (shared front only).
+    /// same key instead of building their own copy.
     pub dedups: u64,
-}
-
-#[derive(Debug)]
-struct Entry {
-    plan: Arc<RegridPlan>,
-    last_used: u64,
-}
-
-/// A bounded LRU cache of regrid plans.
-#[derive(Debug)]
-pub struct PlanCache {
-    capacity: usize,
-    tick: u64,
-    stats: CacheStats,
-    entries: HashMap<u64, Entry>,
-}
-
-impl PlanCache {
-    /// An empty cache holding at most `capacity` plans (minimum 1).
-    pub fn new(capacity: usize) -> PlanCache {
-        PlanCache {
-            capacity: capacity.max(1),
-            tick: 0,
-            stats: CacheStats::default(),
-            entries: HashMap::new(),
-        }
-    }
-
-    /// The cached plan for `key`, bumping its recency. Counts a hit or a
-    /// miss.
-    pub fn get(&mut self, key: u64) -> Option<Arc<RegridPlan>> {
-        self.tick += 1;
-        match self.entries.get_mut(&key) {
-            Some(e) => {
-                e.last_used = self.tick;
-                self.stats.hits += 1;
-                Some(Arc::clone(&e.plan))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// The plan for `key`, building (and caching) it on a miss. A failed
-    /// build caches nothing and surfaces the error.
-    pub fn get_or_build(
-        &mut self,
-        key: u64,
-        build: impl FnOnce() -> Result<RegridPlan>,
-    ) -> Result<Arc<RegridPlan>> {
-        if let Some(plan) = self.get(key) {
-            return Ok(plan);
-        }
-        let plan = Arc::new(build()?);
-        self.insert(key, Arc::clone(&plan));
-        Ok(plan)
-    }
-
-    /// Inserts a plan, evicting least-recently-used entries to stay within
-    /// capacity.
-    pub fn insert(&mut self, key: u64, plan: Arc<RegridPlan>) {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.insert(key, Entry { plan, last_used: tick });
-        self.enforce_capacity();
-    }
-
-    fn enforce_capacity(&mut self) {
-        while self.entries.len() > self.capacity {
-            // O(n) scan; n is bounded by the (small) capacity. Tie-break on
-            // key so eviction order is deterministic.
-            let victim = self
-                .entries
-                .iter()
-                .map(|(&k, e)| (e.last_used, k))
-                .min()
-                .map(|(_, k)| k);
-            match victim {
-                Some(k) => {
-                    self.entries.remove(&k);
-                    self.stats.evictions += 1;
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Cumulative counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Maximum number of cached plans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Changes the capacity, evicting LRU entries if it shrank.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        self.enforce_capacity();
-    }
-
-    /// Drops every cached plan (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 /// Locks a std mutex, recovering the guard from a poisoned lock (the
@@ -194,44 +74,46 @@ impl BuildSlot {
     }
 }
 
-/// The concurrent front over a [`PlanCache`]: safe to hit from many
-/// session threads at once.
+/// A bounded LRU of regrid plans, safe to hit from many session threads
+/// at once.
 ///
 /// Invariants the contention tests pin down:
 ///
 /// * the LRU lock is held only for map bookkeeping, never across a plan
 ///   build — distinct keys build in parallel;
-/// * concurrent lookups of the same missing key run **one** build; the
-///   other threads block on that build and count as
-///   [`CacheStats::dedups`] (their served lookups also count as hits);
+/// * concurrent lookups of the same missing key run **one** build and
+///   count **one** miss; the other threads block on that build and count
+///   as [`CacheStats::dedups`] (their served lookups also count as hits);
 /// * a failed build poisons nothing: waiters retry, and the next claimant
 ///   rebuilds;
 /// * capacity stays bounded under any interleaving (eviction is the
 ///   ordinary LRU path, counted in [`CacheStats::evictions`]).
 #[derive(Debug)]
 pub struct SharedPlanCache {
-    cache: Mutex<PlanCache>,
+    cache: Mutex<Lru<u64, Arc<RegridPlan>>>,
     inflight: StdMutex<HashMap<u64, Arc<BuildSlot>>>,
+    dedups: AtomicU64,
 }
 
 impl SharedPlanCache {
     /// A shared cache holding at most `capacity` plans (minimum 1).
     pub fn new(capacity: usize) -> SharedPlanCache {
         SharedPlanCache {
-            cache: Mutex::new(PlanCache::new(capacity)),
+            cache: Mutex::new(Lru::new(capacity.max(1))),
             inflight: StdMutex::new(HashMap::new()),
+            dedups: AtomicU64::new(0),
         }
-    }
-
-    /// The underlying LRU, for single-owner maintenance (capacity changes,
-    /// clears). Do not hold this lock across plan builds.
-    pub fn cache(&self) -> &Mutex<PlanCache> {
-        &self.cache
     }
 
     /// Cumulative counters.
     pub fn stats(&self) -> CacheStats {
-        self.cache.lock().stats()
+        let s = self.cache.lock().stats();
+        CacheStats {
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            dedups: self.dedups.load(Ordering::Relaxed),
+        }
     }
 
     /// Number of cached plans.
@@ -244,9 +126,14 @@ impl SharedPlanCache {
         self.cache.lock().is_empty()
     }
 
+    /// Drops every cached plan (counters are kept).
+    pub fn clear(&self) {
+        self.cache.lock().clear();
+    }
+
     /// The cached plan for `key`, bumping recency (counts a hit or miss).
     pub fn get(&self, key: u64) -> Option<Arc<RegridPlan>> {
-        self.cache.lock().get(key)
+        self.cache.lock().get(&key)
     }
 
     /// The plan for `key`, building it on a miss without serializing
@@ -260,27 +147,21 @@ impl SharedPlanCache {
     ) -> Result<Arc<RegridPlan>> {
         let mut waited = false;
         loop {
-            // fast path: answer from the LRU under its own (brief) lock
-            {
-                let mut c = self.cache.lock();
-                c.tick += 1;
-                let tick = c.tick;
-                if let Some(e) = c.entries.get_mut(&key) {
-                    e.last_used = tick;
-                    let plan = Arc::clone(&e.plan);
-                    c.stats.hits += 1;
-                    if waited {
-                        c.stats.dedups += 1;
-                    }
-                    return Ok(plan);
-                }
-            }
-            // miss: claim the build, or wait on whoever already claimed it
+            // Look up under the in-flight lock. A builder inserts its plan
+            // before it drops its slot, so "no slot" plus a miss means the
+            // key is unbuilt: claim it. A thread never misses while a build
+            // of its key is in flight, so one build counts one miss.
             let (slot, is_builder) = {
                 let mut inflight = std_lock(&self.inflight);
                 match inflight.get(&key) {
                     Some(s) => (Arc::clone(s), false),
                     None => {
+                        if let Some(plan) = self.cache.lock().get(&key) {
+                            if waited {
+                                self.dedups.fetch_add(1, Ordering::Relaxed);
+                            }
+                            return Ok(plan);
+                        }
                         let s = Arc::new(BuildSlot::default());
                         inflight.insert(key, Arc::clone(&s));
                         (s, true)
@@ -293,20 +174,11 @@ impl SharedPlanCache {
                 continue;
             }
             // build WITHOUT holding either lock: other keys proceed freely
-            let built = build();
-            let out = match built {
-                Ok(plan) => {
-                    let plan = Arc::new(plan);
-                    let mut c = self.cache.lock();
-                    c.stats.misses += 1;
-                    c.insert(key, Arc::clone(&plan));
-                    Ok(plan)
-                }
-                Err(e) => {
-                    self.cache.lock().stats.misses += 1;
-                    Err(e)
-                }
-            };
+            let out = build().map(|plan| {
+                let plan = Arc::new(plan);
+                self.cache.lock().insert(key, Arc::clone(&plan), 1);
+                plan
+            });
             std_lock(&self.inflight).remove(&key);
             slot.finish();
             return out;
@@ -322,20 +194,14 @@ pub fn shared_global() -> &'static SharedPlanCache {
     GLOBAL.get_or_init(|| SharedPlanCache::new(DEFAULT_GLOBAL_CAPACITY))
 }
 
-/// The process-global plan cache's LRU (legacy single-owner handle; the
-/// concurrent paths should use [`shared_global`]).
-pub fn global() -> &'static Mutex<PlanCache> {
-    shared_global().cache()
-}
-
 /// Counters of the global cache.
 pub fn global_stats() -> CacheStats {
-    global().lock().stats()
+    shared_global().stats()
 }
 
 /// Empties the global cache (counters are kept).
 pub fn clear_global() {
-    global().lock().clear();
+    shared_global().clear();
 }
 
 #[cfg(test)]
@@ -351,11 +217,11 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut c = PlanCache::new(2);
-        c.insert(1, Arc::new(plan_for(2)));
-        c.insert(2, Arc::new(plan_for(3)));
+        let c = SharedPlanCache::new(2);
+        c.get_or_build(1, || Ok(plan_for(2))).unwrap();
+        c.get_or_build(2, || Ok(plan_for(3))).unwrap();
         assert!(c.get(1).is_some()); // 1 is now more recent than 2
-        c.insert(3, Arc::new(plan_for(4)));
+        c.get_or_build(3, || Ok(plan_for(4))).unwrap();
         assert_eq!(c.len(), 2);
         assert!(c.get(2).is_none(), "LRU entry 2 should have been evicted");
         assert!(c.get(1).is_some());
@@ -363,12 +229,13 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.hits, 3);
-        assert_eq!(s.misses, 1);
+        // three builds plus the lookup of the evicted entry
+        assert_eq!(s.misses, 4);
     }
 
     #[test]
     fn get_or_build_builds_once() {
-        let mut c = PlanCache::new(4);
+        let c = SharedPlanCache::new(4);
         let mut builds = 0;
         for _ in 0..3 {
             let p = c
@@ -386,24 +253,12 @@ mod tests {
 
     #[test]
     fn failed_builds_cache_nothing() {
-        let mut c = PlanCache::new(4);
+        let c = SharedPlanCache::new(4);
         let r = c.get_or_build(9, || Err(cdms::CdmsError::Invalid("nope".into())));
         assert!(r.is_err());
         assert!(c.is_empty());
         // a later successful build still works
         assert!(c.get_or_build(9, || Ok(plan_for(2))).is_ok());
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts() {
-        let mut c = PlanCache::new(4);
-        for k in 0..4 {
-            c.insert(k, Arc::new(plan_for(2)));
-        }
-        c.set_capacity(1);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.stats().evictions, 3);
-        assert!(c.get(3).is_some(), "most recent entry survives");
     }
 }

@@ -188,3 +188,43 @@ fn eviction_under_contention_stays_bounded_with_consistent_counters() {
         stats.misses
     );
 }
+
+/// Regression for a duplicate-build race: a thread that missed the cache
+/// just before the builder inserted, and reached the in-flight map just
+/// after the builder removed its slot, claimed a fresh slot and built the
+/// same plan a second time, counting a second miss. The window sits
+/// between two lock acquisitions inside `get_or_build`, so no test can
+/// force it without a hook in the cache; instead many short races on fresh
+/// keys give it room to open. Every key must build once and miss once.
+#[test]
+fn racing_lookups_never_build_a_key_twice() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 2000;
+    let cache = SharedPlanCache::new(ROUNDS);
+    let template = build_plan(1).unwrap();
+    let builds: Vec<AtomicUsize> = (0..ROUNDS).map(|_| AtomicUsize::new(0)).collect();
+    let gate = Barrier::new(THREADS);
+
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                for (key, count) in builds.iter().enumerate() {
+                    gate.wait();
+                    cache
+                        .get_or_build(key as u64, || {
+                            count.fetch_add(1, Ordering::SeqCst);
+                            Ok(template.clone())
+                        })
+                        .unwrap();
+                }
+            });
+        }
+    });
+
+    for (key, count) in builds.iter().enumerate() {
+        assert_eq!(count.load(Ordering::SeqCst), 1, "key {key} built more than once");
+    }
+    let stats = cache.stats();
+    assert_eq!(stats.misses, ROUNDS as u64);
+    assert_eq!(stats.hits + stats.misses, (THREADS * ROUNDS) as u64);
+}

@@ -74,6 +74,7 @@ pub mod error;
 pub mod format;
 pub mod format_v3;
 pub mod grid;
+pub mod lru;
 pub mod storage;
 pub mod stream;
 pub mod synth;

@@ -9,8 +9,9 @@
 //!
 //! The layer is built for hostile storage:
 //!
-//! * **Bounded-memory cache** — decoded chunks live in a byte-budgeted
-//!   LRU ([`StreamOptions::cache_bytes`]). The budget is a hard ceiling:
+//! * **Bounded-memory cache** — decoded chunks live in a
+//!   [`crate::lru::Lru`] weighted by decoded bytes and budgeted by
+//!   [`StreamOptions::cache_bytes`]. The budget is a hard ceiling:
 //!   eviction runs *before* insertion, so resident bytes never exceed it,
 //!   not even transiently. Hits, misses, evictions and the high-water
 //!   mark are all counted.
@@ -39,10 +40,11 @@
 use crate::axis::AxisKind;
 use crate::error::{CdmsError, Result};
 use crate::format_v3::{self, upsample_nearest, ChunkDirEntry, V3Meta, V3VarMeta};
+use crate::lru::Lru;
 use crate::storage::{LocalDisk, Storage};
 use crate::{MaskedArray, Variable};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,89 +93,6 @@ struct ChunkKey {
 /// Decoded chunk: data plus validity mask, shared between cache and
 /// callers without copying.
 type ChunkData = (Vec<f32>, Vec<bool>);
-
-struct CacheEntry {
-    data: Arc<ChunkData>,
-    bytes: usize,
-    stamp: u64,
-}
-
-/// Byte-budgeted LRU of decoded chunks. All counters live here so a
-/// single lock covers lookup + accounting.
-struct ChunkCache {
-    budget: usize,
-    map: BTreeMap<ChunkKey, CacheEntry>,
-    tick: u64,
-    bytes: usize,
-    peak_bytes: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl ChunkCache {
-    fn new(budget: usize) -> ChunkCache {
-        ChunkCache {
-            budget,
-            map: BTreeMap::new(),
-            tick: 0,
-            bytes: 0,
-            peak_bytes: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Looks a chunk up, counting the hit/miss and refreshing recency.
-    fn get(&mut self, key: &ChunkKey) -> Option<Arc<ChunkData>> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(key) {
-            Some(e) => {
-                e.stamp = tick;
-                self.hits += 1;
-                Some(Arc::clone(&e.data))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// True when the chunk is resident; does not disturb the counters
-    /// (used by the prefetcher to skip warm windows).
-    fn contains(&self, key: &ChunkKey) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Inserts a decoded chunk, evicting least-recently-used entries
-    /// *first* so resident bytes never exceed the budget. A chunk larger
-    /// than the whole budget is not cached at all.
-    fn insert(&mut self, key: ChunkKey, data: Arc<ChunkData>, bytes: usize) {
-        if bytes > self.budget {
-            return;
-        }
-        while self.bytes + bytes > self.budget {
-            let Some(oldest) =
-                self.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k)
-            else {
-                break;
-            };
-            if let Some(e) = self.map.remove(&oldest) {
-                self.bytes -= e.bytes;
-                self.evictions += 1;
-            }
-        }
-        self.tick += 1;
-        let stamp = self.tick;
-        if self.map.insert(key, CacheEntry { data, bytes, stamp }).is_none() {
-            self.bytes += bytes;
-        }
-        self.peak_bytes = self.peak_bytes.max(self.bytes);
-    }
-}
 
 /// Counters of everything a streaming session did, for asserting
 /// fault-storm behaviour exactly and for benchmarking overhead.
@@ -251,7 +170,8 @@ struct Shared {
     path: PathBuf,
     meta: V3Meta,
     opts: StreamOptions,
-    cache: Mutex<ChunkCache>,
+    /// Decoded chunks, weighted by their decoded bytes.
+    cache: Mutex<Lru<ChunkKey, Arc<ChunkData>>>,
     /// Chunks that failed permanently; later fetches fail fast.
     failed: Mutex<BTreeSet<ChunkKey>>,
     report: Mutex<ReportCore>,
@@ -288,7 +208,7 @@ impl StreamingDataset {
         opts: StreamOptions,
     ) -> Result<StreamingDataset> {
         let meta = format_v3::read_meta_with(storage.as_ref(), path)?;
-        let cache = Mutex::new(ChunkCache::new(opts.cache_bytes.max(1)));
+        let cache = Mutex::new(Lru::new(opts.cache_bytes.max(1)));
         Ok(StreamingDataset {
             shared: Arc::new(Shared {
                 storage,
@@ -330,14 +250,14 @@ impl StreamingDataset {
     /// Snapshot of everything the session has done so far.
     pub fn report(&self) -> StreamReport {
         let core = self.shared.report.lock();
-        let cache = self.shared.cache.lock();
+        let cache = self.shared.cache.lock().stats();
         StreamReport {
             chunk_reads: core.chunk_reads,
             bytes_read: core.bytes_read,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             evictions: cache.evictions,
-            peak_cache_bytes: cache.peak_bytes as u64,
+            peak_cache_bytes: cache.peak_weight as u64,
             retried: core.retried,
             failed_chunks: core.failed_chunks,
             degraded: core.degraded,

@@ -27,8 +27,8 @@ pub const PROTO_DELTA: u32 = 2;
 /// multi-tenant service (see [`crate::service`]). Workloads are synthetic
 /// but shaped like the paper's: regridding, reductions, cell renders —
 /// each deterministic in its parameters, so identical requests from
-/// different sessions are content-addressed duplicates the shared caches
-/// collapse into one computation.
+/// different sessions are content-addressed duplicates: the shared plan
+/// cache builds one regrid plan for all of them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum ServiceWork {
