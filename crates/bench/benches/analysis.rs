@@ -15,21 +15,13 @@
 //! than look like a scaling failure. RAYON_NUM_THREADS is honoured: an
 //! externally pinned value wins over hardware detection for the wide row.
 //!
-//! `ANALYSIS_BENCH_SMOKE=1` shrinks reps and the field for CI smoke runs.
+//! `DV3D_BENCH_SMOKE=1` shrinks reps and the field for CI smoke runs.
 
 use cdat::pipeline::{run, AnalysisStep};
 use cdat::{averager, climatology, eager_ref, statistics};
 use cdms::synth::SynthesisSpec;
 use cdms::Variable;
-use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("ANALYSIS_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false)
-}
-
-fn best(xs: Vec<f64>) -> f64 {
-    xs.into_iter().fold(f64::INFINITY, f64::min)
-}
+use dv3d_bench::{best, object, smoke, time_ms, with_rayon_threads, Artifact, Bound};
 
 const CHAIN: [AnalysisStep; 3] =
     [AnalysisStep::Anomaly, AnalysisStep::Standardize, AnalysisStep::SpatialMean];
@@ -50,39 +42,24 @@ fn stepwise_fused(var: &Variable) -> Variable {
     averager::spatial_mean(&std).expect("fused spatial mean")
 }
 
-/// Best-of-`reps` for one timed closure, ms. Interleaving happens at the
-/// call site so drift on a shared box hits all contenders equally.
-fn once_ms<T>(mut f: impl FnMut() -> T) -> f64 {
-    let t0 = Instant::now();
-    std::hint::black_box(f());
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-/// Times the fused pipeline under a requested worker count, returning the
-/// best-of-reps ms and the pool size the dispatcher actually resolved.
-/// Any externally-set RAYON_NUM_THREADS is restored afterwards.
+/// Best-of-reps ms of the fused pipeline under a requested worker count,
+/// with the pool size the dispatcher actually resolved.
 fn fused_ms_at(var: &Variable, threads: usize, reps: usize) -> (f64, usize) {
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let effective = rayon::current_num_threads();
-    let mut runs = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        runs.push(once_ms(|| run(var, &CHAIN).expect("fused pipeline")));
-    }
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    (best(runs), effective)
+    with_rayon_threads(threads, || {
+        let runs: Vec<f64> =
+            (0..reps).map(|_| time_ms(|| run(var, &CHAIN).expect("fused pipeline"))).collect();
+        best(&runs)
+    })
 }
 
 fn main() {
+    let smoke = smoke();
     // 12 months x 17 levels x 73 lat x 144 lon: the 2.5-degree reanalysis
     // shape the paper's exploratory sessions page through.
-    let (reps, spec) = if smoke() {
-        (5, SynthesisSpec::new(12, 3, 24, 48).seed(41))
+    let (reps, spec, shape) = if smoke {
+        (5, SynthesisSpec::new(12, 3, 24, 48).seed(41), "12x3x24x48")
     } else {
-        (12, SynthesisSpec::new(12, 17, 73, 144).seed(41))
+        (12, SynthesisSpec::new(12, 17, 73, 144).seed(41), "12x17x73x144")
     };
     let ds = spec.build();
     let ta = ds.variable("ta").expect("ta");
@@ -95,27 +72,20 @@ fn main() {
     }
 
     // Single-threaded contest: eager reference vs stepwise fused vs the
-    // cross-step fused pipeline, interleaved rep-by-rep.
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let (mut eager, mut stepwise, mut fused) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        eager = eager.min(once_ms(|| eager_chain(ta)));
-        stepwise = stepwise.min(once_ms(|| stepwise_fused(ta)));
-        fused = fused.min(once_ms(|| run(ta, &CHAIN).expect("fused pipeline")));
-    }
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
+    // cross-step fused pipeline, interleaved rep-by-rep so drift on a
+    // shared box hits all contenders equally.
+    let ((eager, stepwise, fused), _) = with_rayon_threads(1, || {
+        let (mut eager, mut stepwise, mut fused) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps {
+            eager = eager.min(time_ms(|| eager_chain(ta)));
+            stepwise = stepwise.min(time_ms(|| stepwise_fused(ta)));
+            fused = fused.min(time_ms(|| run(ta, &CHAIN).expect("fused pipeline")));
+        }
+        (eager, stepwise, fused)
+    });
 
     // Scaling rows: serial vs whatever the box (or RAYON_NUM_THREADS) offers.
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let wide = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(hw);
+    let wide = rayon::current_num_threads();
     // Full sweep at 1/2/4/8 requested workers (the BENCH_render.json
     // convention), plus the legacy serial / wide rows.
     let sweep: Vec<(usize, f64, usize)> = [1usize, 2, 4, 8]
@@ -125,70 +95,41 @@ fn main() {
             (t, ms, pool)
         })
         .collect();
-    let (serial_ms, pool1) = sweep
-        .first()
-        .map(|&(_, ms, pool)| (ms, pool))
-        .unwrap_or((f64::NAN, 1));
+    let (serial_ms, pool1) = (sweep[0].1, sweep[0].2);
     let (wide_ms, pool_n) = fused_ms_at(ta, wide, reps);
-    let sweep_json = sweep
-        .iter()
-        .map(|(t, ms, pool)| {
-            format!(
-                "    {{ \"requested\": {t}, \"effective_pool\": {pool}, \
-                 \"fused_ms\": {ms:.4} }}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
 
     let speedup = eager / fused;
     let stepwise_speedup = eager / stepwise;
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"analysis\",\n",
-            "  \"reps\": {},\n",
-            "  \"shape\": \"{}\",\n",
-            "  \"eager_chain_ms\": {:.4},\n",
-            "  \"stepwise_fused_ms\": {:.4},\n",
-            "  \"fused_pipeline_ms\": {:.4},\n",
-            "  \"stepwise_over_eager_speedup\": {:.2},\n",
-            "  \"fused_over_eager_speedup\": {:.2},\n",
-            "  \"fused_serial_ms\": {:.4},\n",
-            "  \"fused_parallel_ms\": {:.4},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"effective_pool_one_thread\": {},\n",
-            "  \"effective_pool_all_threads\": {},\n",
-            "  \"requested_threads\": {},\n",
-            "  \"thread_sweep\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        reps,
-        if smoke() { "12x3x24x48" } else { "12x17x73x144" },
-        eager,
-        stepwise,
-        fused,
-        stepwise_speedup,
+    let mut art = Artifact::new("analysis", smoke);
+    art.set("reps", reps);
+    art.set("shape", shape);
+    art.set("eager_chain_ms", eager);
+    art.set("stepwise_fused_ms", stepwise);
+    art.set("fused_pipeline_ms", fused);
+    art.set("stepwise_over_eager_speedup", stepwise_speedup);
+    art.set("fused_over_eager_speedup", speedup);
+    art.set("fused_serial_ms", serial_ms);
+    art.set("fused_parallel_ms", wide_ms);
+    art.set("effective_pool_one_thread", pool1);
+    art.set("effective_pool_all_threads", pool_n);
+    art.set("requested_threads", wide);
+    let rows = sweep.iter().map(|&(t, ms, pool)| {
+        object! { "requested": t, "effective_pool": pool, "fused_ms": ms }
+    });
+    art.set("thread_sweep", rows.collect::<Vec<_>>());
+    art.gate(
+        "fused_over_eager_speedup",
         speedup,
-        serial_ms,
-        wide_ms,
-        hw,
-        pool1,
-        pool_n,
-        wide,
-        sweep_json,
+        Bound::AtLeast(1.5),
+        true,
+        format!(
+            "fused pipeline must be >= 1.5x faster than the eager chain \
+             single-threaded, got {speedup:.2}x (eager {eager:.4} ms, fused {fused:.4} ms)"
+        ),
     );
-    // workspace root, independent of the bench binary's cwd
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_analysis.json");
-    std::fs::write(path, &json).expect("write artifact");
-    println!("{json}");
     println!(
         "bench analysis: fused pipeline {speedup:.1}x faster than eager chain \
          single-threaded (stepwise fused {stepwise_speedup:.1}x)"
     );
-    assert!(
-        speedup >= 1.5,
-        "fused pipeline must be >= 1.5x faster than the eager chain \
-         single-threaded, got {speedup:.2}x (eager {eager:.4} ms, fused {fused:.4} ms)"
-    );
+    art.finish();
 }

@@ -1,23 +1,19 @@
 //! E8 / §III.D: 4D animation throughput — frames/sec stepping a plot
-//! through time, per plot type.
+//! through time, per plot type. Emits `BENCH_animation.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dv3d::animation::AnimationController;
 use dv3d::cell::Dv3dCell;
 use dv3d::plots::PlotSpec;
 use dv3d::translation::{translate_scalar, TranslationOptions};
-use dv3d_bench::bench_dataset;
+use dv3d_bench::{bench_dataset, Artifact};
 
-fn animation_loop(c: &mut Criterion) {
+fn animation_loop(art: &mut Artifact) {
     let ds = bench_dataset();
     let pr = ds.variable("pr").unwrap();
     let opts = TranslationOptions::default();
     let first = translate_scalar(&pr.time_slab(0).unwrap(), &opts).unwrap();
-    let n_frames = pr.n_times() as u64;
+    art.set("frames_per_loop", pr.n_times());
 
-    let mut group = c.benchmark_group("fig_animation");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(n_frames));
     for (name, spec) in [
         ("slicer", PlotSpec::slicer(first.clone())),
         ("volume", PlotSpec::volume(first.clone())),
@@ -27,14 +23,11 @@ fn animation_loop(c: &mut Criterion) {
         cell.show_colorbar = false;
         cell.show_labels = false;
         cell.render(96, 72).unwrap();
-        group.bench_function(name, |b| {
-            b.iter(|| anim.render_loop(&mut cell, 96, 72).unwrap())
-        });
+        art.case("fig_animation", name, || anim.render_loop(&mut cell, 96, 72).unwrap());
     }
-    group.finish();
 }
 
-fn frame_step_only(c: &mut Criterion) {
+fn frame_step_only(art: &mut Artifact) {
     // just the data swap + state rescale, no rendering
     let ds = bench_dataset();
     let pr = ds.variable("pr").unwrap();
@@ -42,13 +35,12 @@ fn frame_step_only(c: &mut Criterion) {
     let mut anim = AnimationController::from_variable(pr, &opts).unwrap();
     let first = translate_scalar(&pr.time_slab(0).unwrap(), &opts).unwrap();
     let mut cell = Dv3dCell::new("step", PlotSpec::slicer(first));
-    let mut group = c.benchmark_group("fig_animation_step");
-    group.sample_size(10);
-    group.bench_function("set_image", |b| {
-        b.iter(|| anim.step(cell.plot_mut(), 1).unwrap())
-    });
-    group.finish();
+    art.case("fig_animation_step", "set_image", || anim.step(cell.plot_mut(), 1).unwrap());
 }
 
-criterion_group!(benches, animation_loop, frame_step_only);
-criterion_main!(benches);
+fn main() {
+    let mut art = Artifact::new("animation", false);
+    animation_loop(&mut art);
+    frame_step_only(&mut art);
+    art.finish();
+}

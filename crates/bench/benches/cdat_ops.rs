@@ -1,51 +1,38 @@
 //! E7 / §III.G: the CDAT operation suite — regridding (both schemes),
 //! climatology/anomaly, averagers, and the parallel task graph ablation.
+//! Emits `BENCH_cdat_ops.json`.
 
 use cdat::{averager, climatology, regrid, statistics, taskgraph::TaskGraph};
 use cdms::RectGrid;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dv3d_bench::{bench_dataset, bench_dataset_sized};
+use dv3d_bench::{bench_dataset, bench_dataset_sized, Artifact};
 use std::sync::Arc;
 
-fn regrid_schemes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cdat_regrid");
-    group.sample_size(10);
+fn regrid_schemes(art: &mut Artifact) {
     for (nlat, nlon) in [(24usize, 48usize), (48, 96)] {
         let ds = bench_dataset_sized(nlat, nlon);
         let ta = ds.variable("ta").unwrap().time_slab(0).unwrap();
         let target = RectGrid::uniform(nlat / 2, nlon / 2).unwrap();
-        group.bench_with_input(
-            BenchmarkId::new("bilinear", format!("{nlat}x{nlon}")),
-            &(&ta, &target),
-            |b, (ta, t)| b.iter(|| regrid::bilinear(ta, t).unwrap()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("conservative", format!("{nlat}x{nlon}")),
-            &(&ta, &target),
-            |b, (ta, t)| b.iter(|| regrid::conservative(ta, t).unwrap()),
-        );
+        art.case("cdat_regrid", format!("bilinear/{nlat}x{nlon}"), || {
+            regrid::bilinear(&ta, &target).unwrap()
+        });
+        art.case("cdat_regrid", format!("conservative/{nlat}x{nlon}"), || {
+            regrid::conservative(&ta, &target).unwrap()
+        });
     }
-    group.finish();
 }
 
-fn analysis_suite(c: &mut Criterion) {
+fn analysis_suite(art: &mut Artifact) {
     let ds = bench_dataset();
     let ta = ds.variable("ta").unwrap();
-    let mut group = c.benchmark_group("cdat_analysis");
-    group.sample_size(10);
-    group.bench_function("anomaly", |b| b.iter(|| climatology::anomaly(ta).unwrap()));
-    group.bench_function("spatial_mean", |b| b.iter(|| averager::spatial_mean(ta).unwrap()));
-    group.bench_function("zonal_mean", |b| b.iter(|| averager::zonal_mean(ta).unwrap()));
-    group.bench_function("linear_trend", |b| {
-        b.iter(|| statistics::linear_trend(ta).unwrap())
+    let group = "cdat_analysis";
+    art.case(group, "anomaly", || climatology::anomaly(ta).unwrap());
+    art.case(group, "spatial_mean", || averager::spatial_mean(ta).unwrap());
+    art.case(group, "zonal_mean", || averager::zonal_mean(ta).unwrap());
+    art.case(group, "linear_trend", || statistics::linear_trend(ta).unwrap());
+    art.case(group, "correlation_self", || statistics::correlation(ta, ta).unwrap());
+    art.case(group, "pressure_interp", || {
+        regrid::pressure_interp(ta, &[925.0, 775.0, 550.0]).unwrap()
     });
-    group.bench_function("correlation_self", |b| {
-        b.iter(|| statistics::correlation(ta, ta).unwrap())
-    });
-    group.bench_function("pressure_interp", |b| {
-        b.iter(|| regrid::pressure_interp(ta, &[925.0, 775.0, 550.0]).unwrap())
-    });
-    group.finish();
 }
 
 fn build_graph() -> TaskGraph {
@@ -69,19 +56,17 @@ fn build_graph() -> TaskGraph {
     g
 }
 
-fn taskgraph_serial_vs_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cdat_taskgraph");
-    group.sample_size(10);
-    group.bench_function("serial", |b| {
-        let g = build_graph();
-        b.iter(|| g.run_serial().unwrap())
-    });
-    group.bench_function("parallel", |b| {
-        let g = build_graph();
-        b.iter(|| g.run_parallel().unwrap())
-    });
-    group.finish();
+fn taskgraph_serial_vs_parallel(art: &mut Artifact) {
+    let g = build_graph();
+    art.case("cdat_taskgraph", "serial", || g.run_serial().unwrap());
+    let g = build_graph();
+    art.case("cdat_taskgraph", "parallel", || g.run_parallel().unwrap());
 }
 
-criterion_group!(benches, regrid_schemes, analysis_suite, taskgraph_serial_vs_parallel);
-criterion_main!(benches);
+fn main() {
+    let mut art = Artifact::new("cdat_ops", false);
+    regrid_schemes(&mut art);
+    analysis_suite(&mut art);
+    taskgraph_serial_vs_parallel(&mut art);
+    art.finish();
+}

@@ -20,30 +20,16 @@
 //!
 //! Both paths are held to bit-identity before any timing: the 2-worker
 //! executor against `run_serial` on every DAG output, and the batched
-//! regrid against per-member applies. `ENSEMBLE_BENCH_SMOKE=1` shrinks
-//! member count, field shape, and reps for CI smoke runs.
+//! regrid against per-member applies. The serial run's per-task
+//! milliseconds are always recorded (`serial_task_ms`), heaviest first.
+//! `DV3D_BENCH_SMOKE=1` shrinks member count, field shape, and reps for CI
+//! smoke runs.
 
 use cdat::ensemble::{self, Region};
 use cdat::regrid::{regrid, regrid_batch};
 use cdat::regrid_plan::RegridMethod;
 use cdms::{RectGrid, Variable};
-use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("ENSEMBLE_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false)
-}
-
-/// Best observed time — the interference-resistant estimator on a shared
-/// box, where medians of short timings can swing 2×.
-fn best(xs: Vec<f64>) -> f64 {
-    xs.into_iter().fold(f64::INFINITY, f64::min)
-}
-
-fn once_ms<T>(mut f: impl FnMut() -> T) -> f64 {
-    let t0 = Instant::now();
-    std::hint::black_box(f());
-    t0.elapsed().as_secs_f64() * 1e3
-}
+use dv3d_bench::{best, object, smoke, time_ms, with_rayon_threads, Artifact, Bound, Value};
 
 /// Asserts two variables carry bit-identical data and identical masks.
 fn assert_bit_identical(want: &Variable, got: &Variable, what: &str) {
@@ -69,9 +55,8 @@ fn main() {
     let method = RegridMethod::Conservative;
     let members = ensemble::synth_members(n_members, shape, 2026).expect("members");
 
-    let hardware_threads =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let rayon_env = std::env::var("RAYON_NUM_THREADS").ok();
+    let hardware_threads = dv3d_bench::hardware_threads();
+    let mut art = Artifact::new("ensemble", smoke);
 
     let g = ensemble::build_graph(members.clone(), target.clone(), method, &regions)
         .expect("build graph");
@@ -99,44 +84,56 @@ fn main() {
     // All speedup below must come from executor-level task overlap (claim
     // 1) or from the blocked SpMM's memory behaviour (claim 2), not from
     // the kernels' own data parallelism.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let ((serial_ms, serial_task_ms, sweep, loop_ms, batch_ms), _) = with_rayon_threads(1, || {
+        // serial-oracle baseline
+        let runs: Vec<f64> =
+            (0..reps).map(|_| time_ms(|| g.run_serial().expect("serial run"))).collect();
+        let serial_ms = best(&runs);
 
-    // serial-oracle baseline
-    let mut runs = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        runs.push(once_ms(|| g.run_serial().expect("serial run")));
-    }
-    let serial_ms = best(runs);
-
-    if std::env::var("ENSEMBLE_BENCH_DEBUG").is_ok() {
         let report = g.run_serial().expect("serial run");
-        let mut by_cost: Vec<(&String, f64)> = report
+        let mut by_cost: Vec<(String, f64)> = report
             .timings
-            .iter()
+            .into_iter()
             .map(|(name, d)| (name, d.as_secs_f64() * 1e3))
             .collect();
-        by_cost.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        for (name, ms) in by_cost.iter().take(12) {
-            println!("task {name}: {ms:.2} ms");
-        }
-    }
+        by_cost.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let serial_task_ms =
+            Value::Object(by_cost.into_iter().map(|(name, ms)| (name, Value::Float(ms))).collect());
 
-    // 1/2/4/8 executor-worker sweep
-    let sweep: Vec<(usize, f64, usize)> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&w| {
-            let mut runs = Vec::with_capacity(reps);
-            let mut workers = 1;
-            for _ in 0..reps {
-                runs.push(once_ms(|| {
-                    let report = g.run_with_pool(w).expect("pooled run");
-                    workers = report.workers;
-                    report
-                }));
-            }
-            (w, best(runs), workers)
-        })
-        .collect();
+        // 1/2/4/8 executor-worker sweep
+        let sweep: Vec<(usize, f64, usize)> = [1usize, 2, 4, 8]
+            .iter()
+            .map(|&w| {
+                let mut workers = 1;
+                let runs: Vec<f64> = (0..reps)
+                    .map(|_| {
+                        time_ms(|| {
+                            let report = g.run_with_pool(w).expect("pooled run");
+                            workers = report.workers;
+                            report
+                        })
+                    })
+                    .collect();
+                (w, best(&runs), workers)
+            })
+            .collect();
+
+        // batched regrid vs the per-member loop, both plan-cache warm
+        let mut loop_runs = Vec::with_capacity(reps);
+        let mut batch_runs = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            loop_runs.push(time_ms(|| {
+                for m in &members {
+                    std::hint::black_box(regrid(m, &target, method).expect("single regrid"));
+                }
+            }));
+            batch_runs.push(time_ms(|| {
+                regrid_batch(&member_refs, &target, method).expect("batch regrid")
+            }));
+        }
+        (serial_ms, serial_task_ms, sweep, best(&loop_runs), best(&batch_runs))
+    });
+
     let (two_ms, two_workers) = sweep
         .iter()
         .find(|&&(w, _, _)| w == 2)
@@ -144,100 +141,49 @@ fn main() {
         .unwrap_or((f64::NAN, 1));
     let dag_speedup = serial_ms / two_ms;
     let speedup_asserted = hardware_threads > 1 && two_workers > 1;
-    if speedup_asserted {
-        assert!(
-            dag_speedup >= 1.5,
+    art.gate(
+        "dag_two_worker_speedup",
+        dag_speedup,
+        Bound::AtLeast(1.5),
+        speedup_asserted,
+        format!(
             "2-worker executor only {dag_speedup:.2}x over run_serial \
              (serial {serial_ms:.2} ms, 2 workers {two_ms:.2} ms)"
-        );
-    }
-
-    // batched regrid vs the per-member loop, both plan-cache warm
-    let mut loop_runs = Vec::with_capacity(reps);
-    let mut batch_runs = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        loop_runs.push(once_ms(|| {
-            for m in &members {
-                std::hint::black_box(regrid(m, &target, method).expect("single regrid"));
-            }
-        }));
-        batch_runs.push(once_ms(|| {
-            regrid_batch(&member_refs, &target, method).expect("batch regrid")
-        }));
-    }
-    let loop_ms = best(loop_runs);
-    let batch_ms = best(batch_runs);
-    let batch_speedup = loop_ms / batch_ms;
-    assert!(
-        batch_speedup >= 1.0,
-        "batched regrid lost to the per-member loop at {n_members} members: \
-         {batch_ms:.2} ms vs {loop_ms:.2} ms"
-    );
-
-    match rayon_env {
-        Some(ref v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-
-    let sweep_json = sweep
-        .iter()
-        .map(|(w, ms, workers)| {
-            format!(
-                "    {{ \"requested\": {w}, \"workers\": {workers}, \
-                 \"run_ms\": {ms:.4} }}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"ensemble\",\n",
-            "  \"smoke\": {},\n",
-            "  \"members\": {},\n",
-            "  \"member_shape\": \"{}x{}x{}x{}\",\n",
-            "  \"dst_grid\": \"{}x{}\",\n",
-            "  \"regions\": {},\n",
-            "  \"reps\": {},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"rayon_num_threads_env\": {},\n",
-            "  \"dag_serial_ms\": {:.4},\n",
-            "  \"dag_two_worker_ms\": {:.4},\n",
-            "  \"dag_two_worker_speedup\": {:.2},\n",
-            "  \"speedup_asserted\": {},\n",
-            "  \"worker_sweep\": [\n{}\n  ],\n",
-            "  \"regrid_loop_ms\": {:.4},\n",
-            "  \"regrid_batch_ms\": {:.4},\n",
-            "  \"batch_over_loop_speedup\": {:.2}\n",
-            "}}\n"
         ),
-        smoke,
-        n_members,
-        shape.0,
-        shape.1,
-        shape.2,
-        shape.3,
-        target.lat.len(),
-        target.lon.len(),
-        regions.len(),
-        reps,
-        hardware_threads,
-        rayon_env.map(|v| format!("\"{v}\"")).unwrap_or_else(|| "null".into()),
-        serial_ms,
-        two_ms,
-        dag_speedup,
-        speedup_asserted,
-        sweep_json,
-        loop_ms,
-        batch_ms,
-        batch_speedup,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ensemble.json");
-    std::fs::write(path, &json).expect("write artifact");
-    println!("{json}");
+    let batch_speedup = loop_ms / batch_ms;
+    art.gate(
+        "batch_over_loop_speedup",
+        batch_speedup,
+        Bound::AtLeast(1.0),
+        true,
+        format!(
+            "batched regrid lost to the per-member loop at {n_members} members: \
+             {batch_ms:.2} ms vs {loop_ms:.2} ms"
+        ),
+    );
+
+    art.set("members", n_members);
+    art.set("member_shape", format!("{}x{}x{}x{}", shape.0, shape.1, shape.2, shape.3));
+    art.set("dst_grid", format!("{}x{}", target.lat.len(), target.lon.len()));
+    art.set("regions", regions.len());
+    art.set("reps", reps);
+    art.set("dag_serial_ms", serial_ms);
+    art.set("dag_two_worker_ms", two_ms);
+    art.set("dag_two_worker_speedup", dag_speedup);
+    art.set("speedup_asserted", speedup_asserted);
+    let rows = sweep.iter().map(|&(w, ms, workers)| {
+        object! { "requested": w, "workers": workers, "run_ms": ms }
+    });
+    art.set("worker_sweep", rows.collect::<Vec<_>>());
+    art.set("serial_task_ms", serial_task_ms);
+    art.set("regrid_loop_ms", loop_ms);
+    art.set("regrid_batch_ms", batch_ms);
+    art.set("batch_over_loop_speedup", batch_speedup);
     println!(
         "bench ensemble: DAG serial {serial_ms:.1} ms vs 2 workers {two_ms:.1} ms \
          ({dag_speedup:.2}x, asserted: {speedup_asserted}); batched regrid \
          {batch_speedup:.2}x over the {n_members}-member loop"
     );
+    art.finish();
 }

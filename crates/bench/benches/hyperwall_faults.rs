@@ -6,6 +6,7 @@
 //! render of the dead cell is cheap, so losing a panel must not stall the
 //! other panels. Emits `BENCH_hyperwall_faults.json`.
 
+use dv3d_bench::{median, Artifact};
 use hyperwall::cluster::{run_wall, run_wall_with_faults, WallRunReport};
 use hyperwall::fault::{Fault, FaultPlan};
 use hyperwall::server::WallTuning;
@@ -29,11 +30,6 @@ fn tuning() -> WallTuning {
         reconnect_poll: Duration::from_millis(5),
         heartbeat_every_frames: 0,
     }
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
 }
 
 /// Mean per-frame round trip of one run, ms.
@@ -65,34 +61,18 @@ fn main() {
         dead_ms.push(mean_round_trip(&report));
     }
 
-    let healthy = median(healthy_ms);
-    let dead = median(dead_ms);
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"hyperwall_faults\",\n",
-            "  \"n_cells\": {},\n",
-            "  \"n_frames\": {},\n",
-            "  \"reps\": {},\n",
-            "  \"healthy_frame_round_trip_ms\": {:.3},\n",
-            "  \"one_dead_panel_frame_round_trip_ms\": {:.3},\n",
-            "  \"dead_over_healthy_ratio\": {:.3},\n",
-            "  \"degraded_panel_frames_per_run\": {}\n",
-            "}}\n"
-        ),
-        N_CELLS,
-        N_FRAMES,
-        REPS,
-        healthy,
-        dead,
-        dead / healthy,
-        degraded_frames
-    );
-    // workspace root, independent of the bench binary's cwd
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hyperwall_faults.json");
-    std::fs::write(path, &json).expect("write artifact");
-    println!("{json}");
+    let healthy = median(&healthy_ms);
+    let dead = median(&dead_ms);
+    let mut art = Artifact::new("hyperwall_faults", false);
+    art.set("n_cells", N_CELLS);
+    art.set("n_frames", N_FRAMES);
+    art.set("reps", REPS);
+    art.set("healthy_frame_round_trip_ms", healthy);
+    art.set("one_dead_panel_frame_round_trip_ms", dead);
+    art.set("dead_over_healthy_ratio", dead / healthy);
+    art.set("degraded_panel_frames_per_run", degraded_frames);
     println!(
         "bench hyperwall_faults: healthy {healthy:.2} ms/frame, one dead panel {dead:.2} ms/frame"
     );
+    art.finish();
 }

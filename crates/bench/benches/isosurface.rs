@@ -1,30 +1,27 @@
 //! E3 / Fig 3: isosurface extraction and rendering — scaling with grid
 //! size, colored-by-second-variable cost, and watertightness overhead.
+//! Emits `BENCH_isosurface.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dv3d_bench::bench_dataset_sized;
+use dv3d::cell::Dv3dCell;
+use dv3d::plots::PlotSpec;
 use dv3d::translation::{translate_scalar, TranslationOptions};
+use dv3d_bench::{bench_dataset_sized, Artifact};
 use rvtk::filters::{isosurface, isosurface_colored};
 
-fn extraction_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig3_isosurface_extraction");
-    group.sample_size(10);
+fn extraction_scaling(art: &mut Artifact) {
     for (nlat, nlon) in [(16usize, 32usize), (24, 48), (36, 72)] {
         let ds = bench_dataset_sized(nlat, nlon);
         let ta = ds.variable("ta").unwrap().time_slab(0).unwrap();
         let img = translate_scalar(&ta, &TranslationOptions::default()).unwrap();
         let (lo, hi) = img.scalar_range().unwrap();
         let iso = (lo + hi) / 2.0;
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{nlat}x{nlon}")),
-            &img,
-            |b, img| b.iter(|| isosurface(img, iso).unwrap()),
-        );
+        art.case("fig3_isosurface_extraction", format!("{nlat}x{nlon}"), || {
+            isosurface(&img, iso).unwrap()
+        });
     }
-    group.finish();
 }
 
-fn colored_vs_plain(c: &mut Criterion) {
+fn colored_vs_plain(art: &mut Artifact) {
     let ds = bench_dataset_sized(24, 48);
     let ta = ds.variable("ta").unwrap().time_slab(0).unwrap();
     let hus = ds.variable("hus").unwrap().time_slab(0).unwrap();
@@ -33,29 +30,25 @@ fn colored_vs_plain(c: &mut Criterion) {
     let hus_img = translate_scalar(&hus, &opts).unwrap();
     let (lo, hi) = ta_img.scalar_range().unwrap();
     let iso = (lo + hi) / 2.0;
-
-    let mut group = c.benchmark_group("fig3_isosurface_coloring");
-    group.sample_size(10);
-    group.bench_function("plain", |b| b.iter(|| isosurface(&ta_img, iso).unwrap()));
-    group.bench_function("colored_by_hus", |b| {
-        b.iter(|| isosurface_colored(&ta_img, iso, &hus_img).unwrap())
+    art.case("fig3_isosurface_coloring", "plain", || isosurface(&ta_img, iso).unwrap());
+    art.case("fig3_isosurface_coloring", "colored_by_hus", || {
+        isosurface_colored(&ta_img, iso, &hus_img).unwrap()
     });
-    group.finish();
 }
 
-fn full_plot_render(c: &mut Criterion) {
-    use dv3d::cell::Dv3dCell;
-    use dv3d::plots::PlotSpec;
+fn full_plot_render(art: &mut Artifact) {
     let ds = bench_dataset_sized(24, 48);
     let ta = ds.variable("ta").unwrap().time_slab(0).unwrap();
     let img = translate_scalar(&ta, &TranslationOptions::default()).unwrap();
     let mut cell = Dv3dCell::try_new("iso", PlotSpec::isosurface(img)).unwrap();
     cell.render(96, 72).unwrap();
-    let mut group = c.benchmark_group("fig3_isosurface_cell_render");
-    group.sample_size(10);
-    group.bench_function("96x72", |b| b.iter(|| cell.render(96, 72).unwrap()));
-    group.finish();
+    art.case("fig3_isosurface_cell_render", "96x72", || cell.render(96, 72).unwrap());
 }
 
-criterion_group!(benches, extraction_scaling, colored_vs_plain, full_plot_render);
-criterion_main!(benches);
+fn main() {
+    let mut art = Artifact::new("isosurface", false);
+    extraction_scaling(&mut art);
+    colored_vs_plain(&mut art);
+    full_plot_render(&mut art);
+    art.finish();
+}

@@ -18,25 +18,13 @@
 //! over v1 is the CRC pass itself — a regression here means per-section
 //! temporaries or reallocation crept back in.
 //!
-//! `NCR_IO_BENCH_SMOKE=1` shrinks reps and the dataset for CI smoke runs.
+//! `DV3D_BENCH_SMOKE=1` shrinks reps and the dataset for CI smoke runs.
 
 use cdms::format;
 use cdms::synth::SynthesisSpec;
 use cdms::Dataset;
+use dv3d_bench::{smoke, time_ms, Artifact, Bound};
 use std::path::Path;
-use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("NCR_IO_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false)
-}
-
-/// One timed call, in milliseconds. Minima over interleaved reps are the
-/// interference-resistant estimator on a shared single-core box.
-fn once_ms<T>(mut f: impl FnMut() -> T) -> f64 {
-    let t0 = Instant::now();
-    std::hint::black_box(f());
-    t0.elapsed().as_secs_f64() * 1e3
-}
 
 /// Best-of-`reps` atomic write + read for BOTH versions, interleaved
 /// rep-by-rep so load drift on a shared box hits v1 and v2 equally —
@@ -48,10 +36,10 @@ fn file_roundtrips_ms(reps: usize, dir: &Path, ds: &Dataset) -> (f64, f64, f64, 
     let (mut w1, mut w2, mut r1, mut r2) =
         (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
-        w1 = w1.min(once_ms(|| format::write_dataset_v1(ds, &p1).expect("v1 write")));
-        w2 = w2.min(once_ms(|| format::write_dataset(ds, &p2).expect("v2 write")));
-        r1 = r1.min(once_ms(|| format::read_dataset(&p1).expect("v1 read")));
-        r2 = r2.min(once_ms(|| format::read_dataset(&p2).expect("v2 read")));
+        w1 = w1.min(time_ms(|| format::write_dataset_v1(ds, &p1).expect("v1 write")));
+        w2 = w2.min(time_ms(|| format::write_dataset(ds, &p2).expect("v2 write")));
+        r1 = r1.min(time_ms(|| format::read_dataset(&p1).expect("v1 read")));
+        r2 = r2.min(time_ms(|| format::read_dataset(&p2).expect("v2 read")));
     }
     (w1, w2, r1, r2)
 }
@@ -61,7 +49,8 @@ fn mb(bytes: usize) -> f64 {
 }
 
 fn main() {
-    let (reps, spec) = if smoke() {
+    let smoke = smoke();
+    let (reps, spec) = if smoke {
         (6, SynthesisSpec::new(4, 2, 24, 48).seed(77))
     } else {
         (15, SynthesisSpec::new(12, 4, 64, 128).seed(77))
@@ -78,10 +67,10 @@ fn main() {
     let (mut enc_v1, mut enc_v2, mut dec_v1, mut dec_v2) =
         (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
-        enc_v1 = enc_v1.min(once_ms(|| format::to_bytes_v1(&ds)));
-        enc_v2 = enc_v2.min(once_ms(|| format::to_bytes(&ds)));
-        dec_v1 = dec_v1.min(once_ms(|| format::from_bytes(&v1).expect("v1 decode")));
-        dec_v2 = dec_v2.min(once_ms(|| format::from_bytes(&v2).expect("v2 decode")));
+        enc_v1 = enc_v1.min(time_ms(|| format::to_bytes_v1(&ds)));
+        enc_v2 = enc_v2.min(time_ms(|| format::to_bytes(&ds)));
+        dec_v1 = dec_v1.min(time_ms(|| format::from_bytes(&v1).expect("v1 decode")));
+        dec_v2 = dec_v2.min(time_ms(|| format::from_bytes(&v2).expect("v2 decode")));
     }
 
     // End-to-end storage path, identical atomic protocol for both versions.
@@ -95,66 +84,49 @@ fn main() {
     let roundtrip_overhead = ((w2 + r2) / (w1 + r1) - 1.0) * 100.0;
     let enc_overhead = (enc_v2 / enc_v1 - 1.0) * 100.0;
     let dec_overhead = (dec_v2 / dec_v1 - 1.0) * 100.0;
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"ncr_io\",\n",
-            "  \"reps\": {},\n",
-            "  \"v1_bytes\": {},\n",
-            "  \"v2_bytes\": {},\n",
-            "  \"file_write_v1_ms\": {:.4},\n",
-            "  \"file_write_v2_ms\": {:.4},\n",
-            "  \"file_read_v1_ms\": {:.4},\n",
-            "  \"file_read_v2_ms\": {:.4},\n",
-            "  \"file_write_v2_mb_per_s\": {:.1},\n",
-            "  \"file_read_v2_mb_per_s\": {:.1},\n",
-            "  \"write_overhead_pct\": {:.2},\n",
-            "  \"read_overhead_pct\": {:.2},\n",
-            "  \"checksum_overhead_pct\": {:.2},\n",
-            "  \"encode_v1_ms\": {:.4},\n",
-            "  \"encode_v2_ms\": {:.4},\n",
-            "  \"decode_v1_ms\": {:.4},\n",
-            "  \"decode_v2_ms\": {:.4},\n",
-            "  \"encode_overhead_pct\": {:.2},\n",
-            "  \"decode_overhead_pct\": {:.2}\n",
-            "}}\n"
-        ),
-        reps,
-        v1.len(),
-        v2.len(),
-        w1,
-        w2,
-        r1,
-        r2,
-        mb(v2.len()) / (w2 / 1e3),
-        mb(v2.len()) / (r2 / 1e3),
-        write_overhead,
-        read_overhead,
+    let mut art = Artifact::new("ncr_io", smoke);
+    art.set("reps", reps);
+    art.set("v1_bytes", v1.len());
+    art.set("v2_bytes", v2.len());
+    art.set("file_write_v1_ms", w1);
+    art.set("file_write_v2_ms", w2);
+    art.set("file_read_v1_ms", r1);
+    art.set("file_read_v2_ms", r2);
+    art.set("file_write_v2_mb_per_s", mb(v2.len()) / (w2 / 1e3));
+    art.set("file_read_v2_mb_per_s", mb(v2.len()) / (r2 / 1e3));
+    art.set("write_overhead_pct", write_overhead);
+    art.set("read_overhead_pct", read_overhead);
+    art.set("checksum_overhead_pct", roundtrip_overhead);
+    art.set("encode_v1_ms", enc_v1);
+    art.set("encode_v2_ms", enc_v2);
+    art.set("decode_v1_ms", dec_v1);
+    art.set("decode_v2_ms", dec_v2);
+    art.set("encode_overhead_pct", enc_overhead);
+    art.set("decode_overhead_pct", dec_overhead);
+    art.gate(
+        "checksum_overhead_pct",
         roundtrip_overhead,
-        enc_v1,
-        enc_v2,
-        dec_v1,
-        dec_v2,
-        enc_overhead,
-        dec_overhead,
+        Bound::Below(15.0),
+        true,
+        format!(
+            "v2 checksumming must cost < 15% on a storage round trip, got \
+             {roundtrip_overhead:.2}% (write {write_overhead:.2}%, read {read_overhead:.2}%)"
+        ),
     );
-    // workspace root, independent of the bench binary's cwd
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ncr_io.json");
-    std::fs::write(path, &json).expect("write artifact");
-    println!("{json}");
+    art.gate(
+        "encode_overhead_pct",
+        enc_overhead,
+        Bound::Below(25.0),
+        true,
+        format!(
+            "v2 in-place encode must cost < 25% over v1, got {enc_overhead:.2}% \
+             (v1 {enc_v1:.4} ms, v2 {enc_v2:.4} ms)"
+        ),
+    );
     println!(
         "bench ncr_io: v2 round-trip checksum overhead {roundtrip_overhead:.1}% \
          (write {write_overhead:.1}%, read {read_overhead:.1}%; \
          in-memory encode {enc_overhead:.1}%, decode {dec_overhead:.1}%)"
     );
-    assert!(
-        roundtrip_overhead < 15.0,
-        "v2 checksumming must cost < 15% on a storage round trip, got \
-         {roundtrip_overhead:.2}% (write {write_overhead:.2}%, read {read_overhead:.2}%)"
-    );
-    assert!(
-        enc_overhead < 25.0,
-        "v2 in-place encode must cost < 25% over v1, got {enc_overhead:.2}% \
-         (v1 {enc_v1:.4} ms, v2 {enc_v2:.4} ms)"
-    );
+    art.finish();
 }

@@ -15,24 +15,17 @@
 //!   frame still arrives, degraded or masked where the plan dictates,
 //!   and the wall-clock overhead over a healthy pass is reported.
 //!
-//! `NCR_STREAM_BENCH_SMOKE=1` shrinks the series for CI smoke runs.
+//! The ceiling and the exact fault counts are recorded as gates, checked
+//! on every rep; a gate that fails keeps its first failing value.
+//!
+//! `DV3D_BENCH_SMOKE=1` shrinks the series for CI smoke runs.
 
 use cdms::format_v3::{self, V3Options};
 use cdms::storage::{FaultyStorage, LocalDisk, StorageFault, StorageFaultPlan};
 use cdms::synth::SynthesisSpec;
 use cdms::{Storage, StreamOptions, StreamingDataset};
+use dv3d_bench::{smoke, time_ms, Artifact, Bound};
 use std::sync::Arc;
-use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("NCR_STREAM_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false)
-}
-
-fn once_ms<T>(mut f: impl FnMut() -> T) -> f64 {
-    let t0 = Instant::now();
-    std::hint::black_box(f());
-    t0.elapsed().as_secs_f64() * 1e3
-}
 
 /// Streaming options for a playback session: tight budget, no artificial
 /// waiting, one window of prefetch (the steady-playback configuration).
@@ -51,7 +44,7 @@ fn session_opts(cache_bytes: usize) -> StreamOptions {
 /// Returns elapsed ms; panics if any frame fails to arrive.
 fn play_all_ms(sd: &StreamingDataset, var: &str) -> f64 {
     let sv = sd.variable(var).expect("variable");
-    once_ms(|| {
+    time_ms(|| {
         for t in 0..sv.n_times() {
             let frame = sv.time_slab_degraded(t).expect("frame must never stall");
             std::hint::black_box(frame);
@@ -60,7 +53,9 @@ fn play_all_ms(sd: &StreamingDataset, var: &str) -> f64 {
 }
 
 fn main() {
-    let (reps, spec, window) = if smoke() {
+    let smoke = smoke();
+    let mut art = Artifact::new("ncr_stream", smoke);
+    let (reps, spec, window) = if smoke {
         (4, SynthesisSpec::new(16, 2, 16, 24).seed(77), 2)
     } else {
         (10, SynthesisSpec::new(64, 2, 32, 48).seed(77), 2)
@@ -95,11 +90,15 @@ fn main() {
         )
         .expect("open");
         let sv = sd.variable("ta").expect("ta");
-        cold_ms = cold_ms.min(once_ms(|| sv.time_slab(0).expect("cold fetch")));
-        warm_ms = warm_ms.min(once_ms(|| sv.time_slab(1).expect("warm fetch")));
+        cold_ms = cold_ms.min(time_ms(|| sv.time_slab(0).expect("cold fetch")));
+        warm_ms = warm_ms.min(time_ms(|| sv.time_slab(1).expect("warm fetch")));
         let r = sd.report();
-        assert_eq!(r.cache_misses, 1, "cold touch is exactly one miss");
-        assert_eq!(r.cache_hits, 1, "warm touch is exactly one hit");
+        for (name, got, what) in [
+            ("cold_misses", r.cache_misses, "cold touch is exactly one miss"),
+            ("warm_hits", r.cache_hits, "warm touch is exactly one hit"),
+        ] {
+            art.gate(name, got as f64, Bound::Exactly(1.0), true, format!("{what}, got {got}"));
+        }
     }
 
     // ---- healthy playback under the tight budget ----
@@ -111,16 +110,26 @@ fn main() {
             .expect("open");
         healthy_ms = healthy_ms.min(play_all_ms(&sd, "ta"));
         let r = sd.report();
-        assert!(
-            r.peak_cache_bytes as usize <= budget,
-            "cache ceiling violated: {} > {budget}",
-            r.peak_cache_bytes
+        art.gate(
+            "healthy_peak_cache_bytes",
+            r.peak_cache_bytes as f64,
+            Bound::AtMost(budget as f64),
+            true,
+            format!("cache ceiling violated: {} > {budget}", r.peak_cache_bytes),
         );
-        assert_eq!(r.degraded + r.salvaged + r.failed_chunks, 0, "healthy run degraded");
+        let bad = r.degraded + r.salvaged + r.failed_chunks;
+        art.gate(
+            "healthy_degraded",
+            bad as f64,
+            Bound::Exactly(0.0),
+            true,
+            format!("healthy run degraded: {bad} degraded + salvaged + failed chunks"),
+        );
         peak_cache = r.peak_cache_bytes;
         evictions = r.evictions;
     }
-    assert!(evictions > 0, "a 4×-budget series must evict");
+    let what = "a 4×-budget series must evict";
+    art.gate("evictions", evictions as f64, Bound::Above(0.0), true, what.into());
 
     // ---- faulted playback: the storm never stalls the animation ----
     // window 1: level 0 dead → degraded frames; window 2: both levels
@@ -144,10 +153,21 @@ fn main() {
         let sd = StreamingDataset::open_with(storage, &path, session_opts(budget)).expect("open");
         faulted_ms = faulted_ms.min(play_all_ms(&sd, "ta"));
         let r = sd.report();
-        assert!(r.peak_cache_bytes as usize <= budget, "faulted run broke the ceiling");
-        assert_eq!(r.degraded, window as u64, "window 1 serves every frame from the pyramid");
-        assert_eq!(r.salvaged, window as u64, "window 2 serves every frame masked");
-        assert_eq!(r.failed_chunks, 3);
+        art.gate(
+            "faulted_peak_cache_bytes",
+            r.peak_cache_bytes as f64,
+            Bound::AtMost(budget as f64),
+            true,
+            format!("faulted run broke the ceiling: {} > {budget}", r.peak_cache_bytes),
+        );
+        for (name, got, want, what) in [
+            ("degraded", r.degraded, window as u64, "window 1 serves every frame from the pyramid"),
+            ("salvaged", r.salvaged, window as u64, "window 2 serves every frame masked"),
+            ("failed_chunks", r.failed_chunks, 3, "three chunks fail for good"),
+        ] {
+            let msg = format!("{what}: {got} != {want}");
+            art.gate(name, got as f64, Bound::Exactly(want as f64), true, msg);
+        }
         degraded = r.degraded;
         salvaged = r.salvaged;
         retried = r.retried;
@@ -158,56 +178,28 @@ fn main() {
 
     std::fs::remove_dir_all(&dir).ok();
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"ncr_stream\",\n",
-            "  \"smoke\": {},\n",
-            "  \"reps\": {},\n",
-            "  \"frames\": {},\n",
-            "  \"windows\": {},\n",
-            "  \"decoded_level0_bytes\": {},\n",
-            "  \"cache_budget_bytes\": {},\n",
-            "  \"peak_cache_bytes\": {},\n",
-            "  \"cache_budget_respected\": true,\n",
-            "  \"evictions\": {},\n",
-            "  \"cold_window_ms\": {:.4},\n",
-            "  \"warm_window_ms\": {:.4},\n",
-            "  \"warm_speedup_x\": {:.1},\n",
-            "  \"healthy_playback_ms\": {:.4},\n",
-            "  \"faulted_playback_ms\": {:.4},\n",
-            "  \"faulted_overhead_pct\": {:.2},\n",
-            "  \"degraded\": {},\n",
-            "  \"salvaged\": {},\n",
-            "  \"retried\": {},\n",
-            "  \"failed_chunks\": {}\n",
-            "}}\n"
-        ),
-        smoke(),
-        reps,
-        vm.n_times(),
-        n_windows,
-        decoded_level0_bytes,
-        budget,
-        peak_cache,
-        evictions,
-        cold_ms,
-        warm_ms,
-        warm_speedup,
-        healthy_ms,
-        faulted_ms,
-        faulted_overhead_pct,
-        degraded,
-        salvaged,
-        retried,
-        failed_chunks,
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ncr_stream.json");
-    std::fs::write(out, &json).expect("write artifact");
-    println!("{json}");
+    art.set("reps", reps);
+    art.set("frames", vm.n_times());
+    art.set("windows", n_windows);
+    art.set("decoded_level0_bytes", decoded_level0_bytes);
+    art.set("cache_budget_bytes", budget);
+    art.set("peak_cache_bytes", peak_cache);
+    art.set("cache_budget_respected", peak_cache as usize <= budget);
+    art.set("evictions", evictions);
+    art.set("cold_window_ms", cold_ms);
+    art.set("warm_window_ms", warm_ms);
+    art.set("warm_speedup_x", warm_speedup);
+    art.set("healthy_playback_ms", healthy_ms);
+    art.set("faulted_playback_ms", faulted_ms);
+    art.set("faulted_overhead_pct", faulted_overhead_pct);
+    art.set("degraded", degraded);
+    art.set("salvaged", salvaged);
+    art.set("retried", retried);
+    art.set("failed_chunks", failed_chunks);
     println!(
         "bench ncr_stream: peak cache {peak_cache} B of {budget} B budget; \
          warm window {warm_speedup:.1}× faster than cold; \
          fault storm overhead {faulted_overhead_pct:.1}% with every frame served"
     );
+    art.finish();
 }

@@ -1,13 +1,14 @@
 //! E2 / Fig 2: per-plot-type render cost across resolutions, plus the
-//! volume renderer's early-ray-termination ablation.
+//! volume renderer's early-ray-termination ablation. Emits
+//! `BENCH_plots.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dv3d::cell::Dv3dCell;
-use dv3d::plots::PlotSpec;
+use dv3d::plots::{Plot, PlotSpec, VolumePlot};
 use dv3d::translation::{translate_vector, TranslationOptions};
-use dv3d_bench::{bench_dataset, slab, ta_image};
+use dv3d_bench::{bench_dataset, slab, ta_image, Artifact};
+use rvtk::render::{Framebuffer, Renderer};
 
-fn plot_render(c: &mut Criterion) {
+fn plot_render(art: &mut Artifact) {
     let ds = bench_dataset();
     let ta_img = ta_image(&ds);
     let wind_img = translate_vector(
@@ -17,35 +18,23 @@ fn plot_render(c: &mut Criterion) {
     )
     .unwrap();
 
-    let mut group = c.benchmark_group("fig2_plot_render");
-    group.sample_size(10);
     for (name, spec) in [
         ("slicer", PlotSpec::slicer(ta_img.clone())),
         ("volume", PlotSpec::volume(ta_img.clone())),
         ("isosurface", PlotSpec::isosurface(ta_img.clone())),
         ("vector_slicer", PlotSpec::vector_slicer(wind_img)),
     ] {
-        for res in [(96usize, 72usize), (192, 144)] {
+        for (w, h) in [(96usize, 72usize), (192, 144)] {
             let mut cell = Dv3dCell::try_new(name, spec.clone()).unwrap();
-            cell.render(res.0, res.1).unwrap(); // warm the camera
-            group.bench_with_input(
-                BenchmarkId::new(name, format!("{}x{}", res.0, res.1)),
-                &res,
-                |b, &(w, h)| b.iter(|| cell.render(w, h).unwrap()),
-            );
+            cell.render(w, h).unwrap(); // warm the camera
+            art.case("fig2_plot_render", format!("{name}/{w}x{h}"), || cell.render(w, h).unwrap());
         }
     }
-    group.finish();
 }
 
-fn volume_early_termination_ablation(c: &mut Criterion) {
-    use dv3d::plots::{Plot, VolumePlot};
-    use rvtk::render::{Framebuffer, Renderer};
-
+fn volume_early_termination_ablation(art: &mut Artifact) {
     let ds = bench_dataset();
     let img = ta_image(&ds);
-    let mut group = c.benchmark_group("volume_early_termination");
-    group.sample_size(10);
     for (label, early) in [("on", true), ("off", false)] {
         let mut plot = VolumePlot::new(img.clone()).unwrap();
         plot.early_termination = early;
@@ -55,16 +44,17 @@ fn volume_early_termination_ablation(c: &mut Criterion) {
         let mut renderer = Renderer::new();
         plot.populate(&mut renderer).unwrap();
         renderer.reset_camera();
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut fb = Framebuffer::new(96, 72);
-                renderer.render(&mut fb);
-                fb
-            })
+        art.case("volume_early_termination", label, || {
+            let mut fb = Framebuffer::new(96, 72);
+            renderer.render(&mut fb);
+            fb
         });
     }
-    group.finish();
 }
 
-criterion_group!(benches, plot_render, volume_early_termination_ablation);
-criterion_main!(benches);
+fn main() {
+    let mut art = Artifact::new("plots", false);
+    plot_render(&mut art);
+    volume_early_termination_ablation(&mut art);
+    art.finish();
+}

@@ -1,9 +1,9 @@
 //! E6 / §III.F: provenance costs — per-action recording overhead,
 //! materialization vs tree depth, serialization, and the executor's
-//! result-cache ablation.
+//! result-cache ablation. Emits `BENCH_provenance.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dv3d::modules::prebuilt_plot_workflow;
+use dv3d_bench::Artifact;
 use vistrails::executor::Executor;
 use vistrails::module::ModuleRegistry;
 use vistrails::provenance::{Action, Vistrail};
@@ -29,40 +29,27 @@ fn deep_vistrail(depth: usize) -> (Vistrail, u64) {
     (vt, head)
 }
 
-fn action_recording(c: &mut Criterion) {
-    let mut group = c.benchmark_group("provenance_record");
-    group.sample_size(10);
+fn action_recording(art: &mut Artifact) {
     for depth in [10usize, 100, 400] {
-        group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, &d| {
-            b.iter(|| deep_vistrail(d))
-        });
+        art.case("provenance_record", depth, || deep_vistrail(depth));
     }
-    group.finish();
 }
 
-fn materialize_vs_depth(c: &mut Criterion) {
-    let mut group = c.benchmark_group("provenance_materialize");
-    group.sample_size(10);
+fn materialize_vs_depth(art: &mut Artifact) {
     for depth in [10usize, 100, 400] {
         let (vt, head) = deep_vistrail(depth);
-        group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
-            b.iter(|| vt.materialize(head).unwrap())
-        });
+        art.case("provenance_materialize", depth, || vt.materialize(head).unwrap());
     }
-    group.finish();
 }
 
-fn serialization(c: &mut Criterion) {
+fn serialization(art: &mut Artifact) {
     let (vt, _) = deep_vistrail(200);
     let json = vt.to_json().unwrap();
-    let mut group = c.benchmark_group("provenance_serde");
-    group.sample_size(10);
-    group.bench_function("to_json_200", |b| b.iter(|| vt.to_json().unwrap()));
-    group.bench_function("from_json_200", |b| b.iter(|| Vistrail::from_json(&json).unwrap()));
-    group.finish();
+    art.case("provenance_serde", "to_json_200", || vt.to_json().unwrap());
+    art.case("provenance_serde", "from_json_200", || Vistrail::from_json(&json).unwrap());
 }
 
-fn executor_cache_ablation(c: &mut Criterion) {
+fn executor_cache_ablation(art: &mut Artifact) {
     let wf = prebuilt_plot_workflow("slicer", "ta", (1, 3, 12, 24)).unwrap();
     let pipeline = wf.vistrail.materialize(wf.version).unwrap();
     let registry = {
@@ -70,26 +57,19 @@ fn executor_cache_ablation(c: &mut Criterion) {
         dv3d::modules::register_all(&mut r);
         r
     };
-    let mut group = c.benchmark_group("executor_cache");
-    group.sample_size(10);
-    group.bench_function("caching_on_warm", |b| {
-        let mut exec = Executor::new(registry.clone());
-        exec.execute(&pipeline).unwrap(); // warm
-        b.iter(|| exec.execute(&pipeline).unwrap())
-    });
-    group.bench_function("caching_off", |b| {
-        let mut exec = Executor::new(registry.clone());
-        exec.caching_enabled = false;
-        b.iter(|| exec.execute(&pipeline).unwrap())
-    });
-    group.finish();
+    let mut exec = Executor::new(registry.clone());
+    exec.execute(&pipeline).unwrap(); // warm
+    art.case("executor_cache", "caching_on_warm", || exec.execute(&pipeline).unwrap());
+    let mut exec = Executor::new(registry);
+    exec.caching_enabled = false;
+    art.case("executor_cache", "caching_off", || exec.execute(&pipeline).unwrap());
 }
 
-criterion_group!(
-    benches,
-    action_recording,
-    materialize_vs_depth,
-    serialization,
-    executor_cache_ablation
-);
-criterion_main!(benches);
+fn main() {
+    let mut art = Artifact::new("provenance", false);
+    action_recording(&mut art);
+    materialize_vs_depth(&mut art);
+    serialization(&mut art);
+    executor_cache_ablation(&mut art);
+    art.finish();
+}

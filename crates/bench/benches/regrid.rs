@@ -7,26 +7,16 @@
 //! frames, repeated pipeline runs) at least 5× cheaper per timestep than
 //! re-deriving the weights each call.
 //!
-//! `REGRID_BENCH_SMOKE=1` shrinks reps for CI smoke runs.
+//! `DV3D_BENCH_SMOKE=1` shrinks reps for CI smoke runs.
 
 use cdat::plan_cache;
 use cdat::regrid::regrid;
 use cdat::regrid_plan::{RegridMethod, RegridPlan};
 use cdms::synth::SynthesisSpec;
 use cdms::{RectGrid, Variable};
-use std::time::Instant;
+use dv3d_bench::{best, object, smoke, time_ms, with_rayon_threads, Artifact, Bound};
 
 const N_TIMES: usize = 8;
-
-fn smoke() -> bool {
-    std::env::var("REGRID_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false)
-}
-
-/// Best observed time — the standard interference-resistant estimator on
-/// a shared single-core box, where medians of sub-ms timings can swing 2×.
-fn best(xs: Vec<f64>) -> f64 {
-    xs.into_iter().fold(f64::INFINITY, f64::min)
-}
 
 /// Per-timestep cold latency: every timestep re-plans and applies, exactly
 /// what a per-call regridder pays. Best of `reps` runs, ms.
@@ -34,16 +24,14 @@ fn cold_ms_per_step(var: &Variable, target: &RectGrid, method: RegridMethod, rep
     let (lat, lon) = (&var.axes[var.rank() - 2], &var.axes[var.rank() - 1]);
     let slabs: Vec<Variable> =
         (0..N_TIMES).map(|t| var.time_slab(t).expect("slab")).collect();
-    let mut runs = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
+    let step = || {
         for slab in &slabs {
             let plan = RegridPlan::build(method, lat, lon, target).expect("plan");
             std::hint::black_box(plan.apply(slab).expect("apply"));
         }
-        runs.push(t0.elapsed().as_secs_f64() * 1e3 / N_TIMES as f64);
-    }
-    best(runs)
+    };
+    let runs: Vec<f64> = (0..reps).map(|_| time_ms(step) / N_TIMES as f64).collect();
+    best(&runs)
 }
 
 /// Per-timestep warm latency: the plan is built once (cache hit in steady
@@ -53,44 +41,30 @@ fn warm_ms_per_step(var: &Variable, target: &RectGrid, method: RegridMethod, rep
     let plan = RegridPlan::build(method, lat, lon, target).expect("plan");
     let slabs: Vec<Variable> =
         (0..N_TIMES).map(|t| var.time_slab(t).expect("slab")).collect();
-    let mut runs = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
+    let step = || {
         for slab in &slabs {
             std::hint::black_box(plan.apply(slab).expect("apply"));
         }
-        runs.push(t0.elapsed().as_secs_f64() * 1e3 / N_TIMES as f64);
-    }
-    best(runs)
+    };
+    let runs: Vec<f64> = (0..reps).map(|_| time_ms(step) / N_TIMES as f64).collect();
+    best(&runs)
 }
 
 /// Whole-variable apply (all timesteps in one parallel pass) under a given
-/// worker count, ms. Uses RAYON_NUM_THREADS, which the vendored rayon
-/// honours at dispatch time; also returns the pool size the dispatcher
-/// actually resolved, so single-core boxes (effective pool of 1 regardless
-/// of the request) are visible in the artifact instead of looking like a
-/// scaling failure. Any externally-set RAYON_NUM_THREADS is restored.
+/// worker count, ms, with the pool size the dispatcher actually resolved.
 fn scaling_ms(var: &Variable, target: &RectGrid, threads: usize, reps: usize) -> (f64, usize) {
     let (lat, lon) = (&var.axes[var.rank() - 2], &var.axes[var.rank() - 1]);
     let plan = RegridPlan::build(RegridMethod::Conservative, lat, lon, target).expect("plan");
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let effective = rayon::current_num_threads();
-    let mut runs = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(plan.apply(var).expect("apply"));
-        runs.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    (best(runs), effective)
+    with_rayon_threads(threads, || {
+        let runs: Vec<f64> =
+            (0..reps).map(|_| time_ms(|| plan.apply(var).expect("apply"))).collect();
+        best(&runs)
+    })
 }
 
 fn main() {
-    let reps = if smoke() { 6 } else { 15 };
+    let smoke = smoke();
+    let reps = if smoke { 6 } else { 15 };
     let ds = SynthesisSpec::new(N_TIMES, 6, 24, 48).seed(2012).build();
     let ta = ds.variable("ta").expect("ta");
     let tos = ds.variable("tos").expect("tos");
@@ -105,12 +79,7 @@ fn main() {
     // Thread scaling of one whole-variable parallel apply (time*lev planes).
     // An externally-set RAYON_NUM_THREADS wins over hardware detection, so
     // CI can pin the wide row; `scaling_ms` reports what the pool resolved.
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let wide = std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(hw);
+    let wide = rayon::current_num_threads();
     // Full sweep at 1/2/4/8 requested workers (the BENCH_render.json
     // convention), plus the legacy one-thread / wide rows derived from it.
     let sweep: Vec<(usize, f64, usize)> = [1usize, 2, 4, 8]
@@ -120,21 +89,8 @@ fn main() {
             (t, ms, pool)
         })
         .collect();
-    let (t1, pool1) = sweep
-        .first()
-        .map(|&(_, ms, pool)| (ms, pool))
-        .unwrap_or((f64::NAN, 1));
+    let (t1, pool1) = (sweep[0].1, sweep[0].2);
     let (tn, pool_n) = scaling_ms(ta, &target, wide, reps);
-    let sweep_json = sweep
-        .iter()
-        .map(|(t, ms, pool)| {
-            format!(
-                "    {{ \"requested\": {t}, \"effective_pool\": {pool}, \
-                 \"apply_ms\": {ms:.4} }}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
 
     // Cache counters over a realistic reuse pattern: two variables, same
     // grid pair, through the public wrapper API.
@@ -146,61 +102,39 @@ fn main() {
     let speedup_bi = bi_cold / bi_warm;
     let speedup_co = co_cold / co_warm;
     let headline = speedup_bi.max(speedup_co);
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"regrid\",\n",
-            "  \"n_times\": {},\n",
-            "  \"reps\": {},\n",
-            "  \"src_grid\": \"24x48\",\n",
-            "  \"dst_grid\": \"64x128\",\n",
-            "  \"bilinear_cold_ms_per_step\": {:.4},\n",
-            "  \"bilinear_warm_ms_per_step\": {:.4},\n",
-            "  \"bilinear_warm_over_cold_speedup\": {:.2},\n",
-            "  \"conservative_cold_ms_per_step\": {:.4},\n",
-            "  \"conservative_warm_ms_per_step\": {:.4},\n",
-            "  \"conservative_warm_over_cold_speedup\": {:.2},\n",
-            "  \"warm_over_cold_speedup\": {:.2},\n",
-            "  \"apply_one_thread_ms\": {:.4},\n",
-            "  \"apply_all_threads_ms\": {:.4},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"effective_pool_one_thread\": {},\n",
-            "  \"effective_pool_all_threads\": {},\n",
-            "  \"requested_threads\": {},\n",
-            "  \"thread_sweep\": [\n{}\n  ],\n",
-            "  \"cache_hits\": {},\n",
-            "  \"cache_misses\": {}\n",
-            "}}\n"
-        ),
-        N_TIMES,
-        reps,
-        bi_cold,
-        bi_warm,
-        speedup_bi,
-        co_cold,
-        co_warm,
-        speedup_co,
+    let mut art = Artifact::new("regrid", smoke);
+    art.set("n_times", N_TIMES);
+    art.set("reps", reps);
+    art.set("src_grid", "24x48");
+    art.set("dst_grid", "64x128");
+    art.set("bilinear_cold_ms_per_step", bi_cold);
+    art.set("bilinear_warm_ms_per_step", bi_warm);
+    art.set("bilinear_warm_over_cold_speedup", speedup_bi);
+    art.set("conservative_cold_ms_per_step", co_cold);
+    art.set("conservative_warm_ms_per_step", co_warm);
+    art.set("conservative_warm_over_cold_speedup", speedup_co);
+    art.set("warm_over_cold_speedup", headline);
+    art.set("apply_one_thread_ms", t1);
+    art.set("apply_all_threads_ms", tn);
+    art.set("effective_pool_one_thread", pool1);
+    art.set("effective_pool_all_threads", pool_n);
+    art.set("requested_threads", wide);
+    let rows = sweep.iter().map(|&(t, ms, pool)| {
+        object! { "requested": t, "effective_pool": pool, "apply_ms": ms }
+    });
+    art.set("thread_sweep", rows.collect::<Vec<_>>());
+    art.set("cache_hits", stats.hits);
+    art.set("cache_misses", stats.misses);
+    art.gate(
+        "warm_over_cold_speedup",
         headline,
-        t1,
-        tn,
-        hw,
-        pool1,
-        pool_n,
-        wide,
-        sweep_json,
-        stats.hits,
-        stats.misses
+        Bound::AtLeast(5.0),
+        true,
+        format!("warm-cache apply must be >= 5x faster than cold plan+apply, got {headline:.2}x"),
     );
-    // workspace root, independent of the bench binary's cwd
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_regrid.json");
-    std::fs::write(path, &json).expect("write artifact");
-    println!("{json}");
     println!(
         "bench regrid: warm apply {headline:.1}x faster than cold plan+apply \
          (bilinear {speedup_bi:.1}x, conservative {speedup_co:.1}x)"
     );
-    assert!(
-        headline >= 5.0,
-        "warm-cache apply must be >= 5x faster than cold plan+apply, got {headline:.2}x"
-    );
+    art.finish();
 }

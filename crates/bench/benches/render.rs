@@ -17,24 +17,17 @@
 //!
 //! The bench honours `RAYON_NUM_THREADS` (the vendored rayon reads it at
 //! dispatch time) and reports both the env setting and the effective pool
-//! size. `RENDER_BENCH_SMOKE=1` shrinks sizes and reps for CI smoke runs.
+//! size. `DV3D_BENCH_SMOKE=1` shrinks sizes and reps for CI smoke runs.
+//! The per-frame delta and keyframe bytes of the motion script are always
+//! recorded (`delta_frames`).
 
+use dv3d_bench::{median, object, smoke, time_ms, Artifact, Bound};
 use hyperwall::frame_delta::FrameStreamer;
 use hyperwall::protocol::encode_frame;
 use rvtk::color::Color;
 use rvtk::math::Vec3;
 use rvtk::poly_data::PolyData;
 use rvtk::render::{scanline_ref, Actor, Framebuffer, Renderer, Representation};
-use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("RENDER_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false)
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
 
 // xorshift64* — deterministic scenes, no wall clock, no external crates
 struct Rng(u64);
@@ -244,9 +237,7 @@ fn main() {
     let n_actors = 24;
     let reps = if smoke { 3 } else { 7 };
 
-    let hardware_threads =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let rayon_env = std::env::var("RAYON_NUM_THREADS").ok();
+    let hardware_threads = dv3d_bench::hardware_threads();
     // measured inside a parallel region so the vendored rayon has resolved
     // RAYON_NUM_THREADS into an actual pool
     let rayon_threads = rayon::current_num_threads();
@@ -270,25 +261,23 @@ fn main() {
     let mut tile_ms = Vec::new();
     let mut scan_ms = Vec::new();
     for _ in 0..reps {
-        let t = Instant::now();
-        scene.render(&mut fb_tile);
-        tile_ms.push(t.elapsed().as_secs_f64() * 1000.0);
-        let t = Instant::now();
-        scanline_ref::render_scene_scanline(&scene, &mut fb_scan);
-        scan_ms.push(t.elapsed().as_secs_f64() * 1000.0);
+        tile_ms.push(time_ms(|| scene.render(&mut fb_tile)));
+        scan_ms.push(time_ms(|| scanline_ref::render_scene_scanline(&scene, &mut fb_scan)));
     }
-    let tile = median(tile_ms);
-    let scan = median(scan_ms);
+    let tile = median(&tile_ms);
+    let scan = median(&scan_ms);
     let speedup = scan / tile;
     // the >= 1.5x claim is a parallel-speedup claim: only enforceable when
     // the pool actually has more than one worker on real cores
     let speedup_asserted = hardware_threads > 1 && rayon_threads > 1;
-    if speedup_asserted {
-        assert!(
-            speedup >= 1.5,
-            "tile engine only {speedup:.2}x over scanline at {rayon_threads} threads"
-        );
-    }
+    let mut art = Artifact::new("render", smoke);
+    art.gate(
+        "tile_speedup",
+        speedup,
+        Bound::AtLeast(1.5),
+        speedup_asserted,
+        format!("tile engine only {speedup:.2}x over scanline at {rayon_threads} threads"),
+    );
 
     // ---- 2. delta vs full-frame transport bytes -----------------------
     // a small-camera-motion interaction script with the cadence of real
@@ -305,6 +294,7 @@ fn main() {
     let mut fb = Framebuffer::new(dw, dh);
     let mut delta_bytes = Vec::new();
     let mut key_bytes = Vec::new();
+    let mut delta_frames = Vec::new();
     for (i, step) in script.iter().enumerate() {
         motion_scene.camera.azimuth(*step);
         motion_scene.render(&mut fb);
@@ -320,17 +310,22 @@ fn main() {
             delta_bytes.push(wire);
             key_bytes.push(kwire);
         }
-        if std::env::var("RENDER_BENCH_DEBUG").is_ok() {
-            println!("frame {i} step {step}: delta {wire} key {kwire}");
-        }
+        delta_frames.push(object! {
+            "frame": frame, "step": *step, "delta_bytes": wire, "key_bytes": kwire,
+        });
     }
     let delta_per_frame = delta_bytes.iter().sum::<f64>() / delta_bytes.len() as f64;
     let key_per_frame = key_bytes.iter().sum::<f64>() / key_bytes.len() as f64;
     let delta_ratio = key_per_frame / delta_per_frame;
-    assert!(
-        delta_ratio >= 4.0,
-        "delta transport only {delta_ratio:.2}x smaller than keyframes \
-         ({delta_per_frame:.0} vs {key_per_frame:.0} bytes/frame)"
+    art.gate(
+        "key_over_delta_ratio",
+        delta_ratio,
+        Bound::AtLeast(4.0),
+        true,
+        format!(
+            "delta transport only {delta_ratio:.2}x smaller than keyframes \
+             ({delta_per_frame:.0} vs {key_per_frame:.0} bytes/frame)"
+        ),
     );
 
     // ---- 3. interaction-to-photon on the wall harness -----------------
@@ -356,58 +351,27 @@ fn main() {
     let photon_mean = photon.iter().sum::<f64>() / photon.len() as f64;
     let photon_worst = photon.iter().cloned().fold(0.0f64, f64::max);
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"render\",\n",
-            "  \"smoke\": {},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"rayon_threads\": {},\n",
-            "  \"rayon_num_threads_env\": {},\n",
-            "  \"frame_px\": [{}, {}],\n",
-            "  \"n_actors\": {},\n",
-            "  \"reps\": {},\n",
-            "  \"scanline_frame_ms\": {:.3},\n",
-            "  \"tile_frame_ms\": {:.3},\n",
-            "  \"tile_speedup\": {:.3},\n",
-            "  \"speedup_asserted\": {},\n",
-            "  \"delta_px\": [{}, {}],\n",
-            "  \"raw_frame_bytes\": {},\n",
-            "  \"keyframe_bytes_per_frame\": {:.1},\n",
-            "  \"delta_bytes_per_frame\": {:.1},\n",
-            "  \"key_over_delta_ratio\": {:.2},\n",
-            "  \"interaction_to_photon_mean_ms\": {:.3},\n",
-            "  \"interaction_to_photon_worst_ms\": {:.3}\n",
-            "}}\n"
-        ),
-        smoke,
-        hardware_threads,
-        rayon_threads,
-        rayon_env.map(|v| format!("\"{v}\"")).unwrap_or_else(|| "null".into()),
-        w,
-        h,
-        n_actors_perf,
-        reps,
-        scan,
-        tile,
-        speedup,
-        speedup_asserted,
-        dw,
-        dh,
-        dw * dh * 4,
-        key_per_frame,
-        delta_per_frame,
-        delta_ratio,
-        photon_mean,
-        photon_worst
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_render.json");
-    std::fs::write(path, &json).expect("write artifact");
-    println!("{json}");
+    art.set("rayon_threads", rayon_threads);
+    art.set("frame_px", vec![w, h]);
+    art.set("n_actors", n_actors_perf);
+    art.set("reps", reps);
+    art.set("scanline_frame_ms", scan);
+    art.set("tile_frame_ms", tile);
+    art.set("tile_speedup", speedup);
+    art.set("speedup_asserted", speedup_asserted);
+    art.set("delta_px", vec![dw, dh]);
+    art.set("raw_frame_bytes", dw * dh * 4);
+    art.set("keyframe_bytes_per_frame", key_per_frame);
+    art.set("delta_bytes_per_frame", delta_per_frame);
+    art.set("key_over_delta_ratio", delta_ratio);
+    art.set("delta_frames", delta_frames);
+    art.set("interaction_to_photon_mean_ms", photon_mean);
+    art.set("interaction_to_photon_worst_ms", photon_worst);
     println!(
         "bench render: tile {tile:.2} ms vs scanline {scan:.2} ms ({speedup:.2}x, \
          asserted: {speedup_asserted}), delta {delta_per_frame:.0} B/frame vs \
          key {key_per_frame:.0} B/frame ({delta_ratio:.1}x), \
          photon {photon_mean:.1} ms mean"
     );
+    art.finish();
 }

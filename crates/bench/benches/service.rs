@@ -8,9 +8,10 @@
 //!   scripted quota-storm flooder (seeded [`FaultPlan`]), which the
 //!   service must reject/shed while conforming latency holds.
 //!
-//! Emits `BENCH_service.json`. `SERVICE_BENCH_SMOKE=1` shrinks the run
+//! Emits `BENCH_service.json`. `DV3D_BENCH_SMOKE=1` shrinks the run
 //! for CI smoke checks.
 
+use dv3d_bench::{object, smoke, Artifact, Bound, Value};
 use hyperwall::fault::FaultPlan;
 use hyperwall::protocol::ServiceWork;
 use hyperwall::service::client::{run_faulted_client, ClientRunStats, ServiceClient};
@@ -64,6 +65,20 @@ fn summarize(sessions: usize, stats: &[ClientRunStats], elapsed: Duration) -> Ou
         retry_afters: stats.iter().map(|s| s.retry_afters).sum(),
         busies: stats.iter().map(|s| s.busies).sum(),
         timeouts: stats.iter().map(|s| s.timeouts).sum(),
+    }
+}
+
+impl Outcome {
+    /// The artifact row, reporting `population` sessions in total.
+    fn row(&self, population: usize) -> Value {
+        object! {
+            "sessions": population,
+            "throughput_rps": self.throughput_rps,
+            "p99_ms": self.p99_ms,
+            "degraded": self.degraded,
+            "busies": self.busies,
+            "retry_afters": self.retry_afters,
+        }
     }
 }
 
@@ -133,7 +148,7 @@ fn run_scenario(n_sessions: usize, requests: usize, gap: Duration, load: Load) -
 }
 
 fn main() {
-    let smoke = std::env::var("SERVICE_BENCH_SMOKE").is_ok();
+    let smoke = smoke();
     let (sessions, requests, storm) = if smoke { (2, 6, 48) } else { (4, 24, 96) };
 
     let healthy = run_scenario(sessions, requests, Duration::from_millis(4), Load::None);
@@ -143,62 +158,41 @@ fn main() {
     let misbehaving =
         run_scenario(sessions, requests, Duration::from_millis(4), Load::Flooder(storm));
 
-    assert_eq!(healthy.timeouts, 0, "healthy run must not time out: {healthy:?}");
-    assert_eq!(
-        misbehaving.timeouts, 0,
-        "conforming sessions must be answered despite the flooder: {misbehaving:?}"
+    let mut art = Artifact::new("service", smoke);
+    art.gate(
+        "healthy_timeouts",
+        healthy.timeouts as f64,
+        Bound::Exactly(0.0),
+        true,
+        format!("healthy run must not time out: {healthy:?}"),
     );
-    assert!(
-        overloaded.degraded + overloaded.retry_afters + overloaded.busies > 0,
-        "4x load must trigger degradation or backpressure: {overloaded:?}"
+    art.gate(
+        "misbehaving_timeouts",
+        misbehaving.timeouts as f64,
+        Bound::Exactly(0.0),
+        true,
+        format!("conforming sessions must be answered despite the flooder: {misbehaving:?}"),
+    );
+    let pushback = overloaded.degraded + overloaded.retry_afters + overloaded.busies;
+    art.gate(
+        "overloaded_pushback",
+        pushback as f64,
+        Bound::Above(0.0),
+        true,
+        format!("4x load must trigger degradation or backpressure: {overloaded:?}"),
     );
 
     let p99_ratio = misbehaving.p99_ms / healthy.p99_ms.max(1e-9);
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"service\",\n",
-            "  \"smoke\": {},\n",
-            "  \"requests_per_session\": {},\n",
-            "  \"healthy\": {{ \"sessions\": {}, \"throughput_rps\": {:.1}, ",
-            "\"p99_ms\": {:.3}, \"degraded\": {}, \"busies\": {}, \"retry_afters\": {} }},\n",
-            "  \"overloaded\": {{ \"sessions\": {}, \"throughput_rps\": {:.1}, ",
-            "\"p99_ms\": {:.3}, \"degraded\": {}, \"busies\": {}, \"retry_afters\": {} }},\n",
-            "  \"one_misbehaving\": {{ \"sessions\": {}, \"throughput_rps\": {:.1}, ",
-            "\"p99_ms\": {:.3}, \"degraded\": {}, \"busies\": {}, \"retry_afters\": {} }},\n",
-            "  \"misbehaving_over_healthy_p99_ratio\": {:.3}\n",
-            "}}\n"
-        ),
-        smoke,
-        requests,
-        healthy.sessions,
-        healthy.throughput_rps,
-        healthy.p99_ms,
-        healthy.degraded,
-        healthy.busies,
-        healthy.retry_afters,
-        // total population: the measured sessions plus the blasters
-        overloaded.sessions * 4,
-        overloaded.throughput_rps,
-        overloaded.p99_ms,
-        overloaded.degraded,
-        overloaded.busies,
-        overloaded.retry_afters,
-        misbehaving.sessions,
-        misbehaving.throughput_rps,
-        misbehaving.p99_ms,
-        misbehaving.degraded,
-        misbehaving.busies,
-        misbehaving.retry_afters,
-        p99_ratio,
-    );
-    // workspace root, independent of the bench binary's cwd
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    std::fs::write(path, &json).expect("write artifact");
-    println!("{json}");
+    art.set("requests_per_session", requests);
+    art.set("healthy", healthy.row(healthy.sessions));
+    // total population: the measured sessions plus the blasters
+    art.set("overloaded", overloaded.row(overloaded.sessions * 4));
+    art.set("one_misbehaving", misbehaving.row(misbehaving.sessions));
+    art.set("misbehaving_over_healthy_p99_ratio", p99_ratio);
     println!(
         "bench service: healthy p99 {:.1} ms, 4x-overload p99 {:.1} ms, \
          with-flooder p99 {:.1} ms (ratio {:.2})",
         healthy.p99_ms, overloaded.p99_ms, misbehaving.p99_ms, p99_ratio
     );
+    art.finish();
 }
