@@ -2,12 +2,12 @@
 //! "hundreds of members × regions" shape, built from the pieces the rest
 //! of the crate provides: batched regridding onto a common grid
 //! ([`crate::regrid::regrid_batch`]), deterministic ensemble reductions
-//! through [`crate::reduce`] (mean / percentile / extremes along a new
-//! leading `member` axis), regional clipping, and per-region climatology
-//! normals. [`build_graph`] wires a full workload into a [`TaskGraph`]
-//! whose sources fan into one batched regrid node and fan back out into
-//! per-region analysis — the DAG the dependency-counting executor is
-//! benchmarked on (`benches/ensemble.rs`).
+//! through [`crate::reduce`] (the mean, and percentiles plus extremes from
+//! one order-statistics pass, along a new leading `member` axis), regional
+//! clipping, and per-region climatology normals. [`build_graph`] wires a
+//! full workload into a [`TaskGraph`] whose sources fan into one batched
+//! regrid node and fan back out into per-region analysis — the DAG the
+//! dependency-counting executor is benchmarked on (`benches/ensemble.rs`).
 //!
 //! On the dv3dlint `indexing_hot_paths` list: these drivers run under
 //! every batch workload, so element access goes through `.get()`.
@@ -93,9 +93,9 @@ pub fn stack(members: &[Variable]) -> Result<Variable> {
     Ok(v)
 }
 
-/// Rebuilds a variable from a member-axis reduction of `stacked`: the
-/// reduced array keeps every axis but the leading `member` one.
-fn drop_member_axis(stacked: &Variable, array: cdms::MaskedArray, id: &str) -> Result<Variable> {
+/// Rebuilds a variable from a reduction of `stacked` over its leading
+/// (`member` or `stat`) axis: the array keeps every axis but that one.
+fn drop_leading_axis(stacked: &Variable, array: cdms::MaskedArray, id: &str) -> Result<Variable> {
     let axes = stacked.axes.get(1..).unwrap_or_default().to_vec();
     let mut v = Variable::new(id, array, axes)?;
     v.attributes = stacked.attributes.clone();
@@ -107,22 +107,46 @@ fn drop_member_axis(stacked: &Variable, array: cdms::MaskedArray, id: &str) -> R
 /// reduction, invariant under thread count).
 pub fn mean(stacked: &Variable) -> Result<Variable> {
     let arr = reduce::mean_axis(&stacked.array, 0)?;
-    drop_member_axis(stacked, arr, &format!("{}_ensmean", stacked.id))
+    drop_leading_axis(stacked, arr, &format!("{}_ensmean", stacked.id))
 }
 
-/// The `q`-th ensemble percentile (0–100) across the `member` axis
-/// ([`reduce::percentile_axis`]: `total_cmp` sort + linear interpolation,
-/// deterministic).
+/// Ensemble order statistics across the `member` axis in one pass
+/// ([`reduce::order_stats_axis`]): one plane per percentile in `qs`
+/// (0–100), then min, then max, stacked on a leading `stat` axis. Keeps
+/// the stacked id; [`stat_plane`] names each plane.
+fn order_stats(stacked: &Variable, qs: &[f64]) -> Result<Variable> {
+    let array = reduce::order_stats_axis(&stacked.array, 0, qs)?;
+    let stat = Axis::new(
+        "stat",
+        (0..qs.len() + 2).map(|i| i as f64).collect(),
+        "1",
+        AxisKind::Generic,
+    )?;
+    let mut axes = Vec::with_capacity(stacked.axes.len());
+    axes.push(stat);
+    axes.extend(stacked.axes.iter().skip(1).cloned());
+    let mut v = Variable::new(&stacked.id, array, axes)?;
+    v.attributes = stacked.attributes.clone();
+    Ok(v)
+}
+
+/// Plane `p` of an [`order_stats`] result as a variable of its own, with
+/// id `<stacked id>_<suffix>`.
+fn stat_plane(order: &Variable, p: usize, suffix: &str) -> Result<Variable> {
+    drop_leading_axis(order, order.array.take(0, p)?, &format!("{}_{suffix}", order.id))
+}
+
+/// The `q`-th ensemble percentile (0–100) across the `member` axis: the
+/// percentile plane of [`reduce::order_stats_axis`].
 pub fn percentile(stacked: &Variable, q: f64) -> Result<Variable> {
-    let arr = reduce::percentile_axis(&stacked.array, 0, q)?;
-    drop_member_axis(stacked, arr, &format!("{}_p{q:.0}", stacked.id))
+    stat_plane(&order_stats(stacked, &[q])?, 0, &format!("p{q:.0}"))
 }
 
-/// Ensemble envelope: `(min, max)` across the `member` axis.
+/// Ensemble envelope: `(min, max)` across the `member` axis, the two
+/// extreme planes of [`reduce::order_stats_axis`].
 pub fn extremes(stacked: &Variable) -> Result<(Variable, Variable)> {
-    let lo = drop_member_axis(stacked, reduce::min_axis(&stacked.array, 0)?, &format!("{}_min", stacked.id))?;
-    let hi = drop_member_axis(stacked, reduce::max_axis(&stacked.array, 0)?, &format!("{}_max", stacked.id))?;
-    Ok((lo, hi))
+    let order = order_stats(stacked, &[])?;
+    Ok((stat_plane(&order, 0, "min")?, stat_plane(&order, 1, "max")?))
 }
 
 /// Clips a variable to a region's lat/lon box.
@@ -136,20 +160,34 @@ pub fn region_normals(var: &Variable, region: &Region) -> Result<Variable> {
     climatology::monthly_climatology(&clip_region(var, region)?)
 }
 
+/// The percentiles `build_graph`'s `ens_order` task computes.
+const GRAPH_QS: [f64; 3] = [10.0, 50.0, 90.0];
+
+/// The task name and [`stat_plane`] suffix of each `ens_order` plane, in
+/// plane order: [`GRAPH_QS`], then min, then max.
+const GRAPH_PLANES: [(&str, &str); 5] = [
+    ("ens_p10", "p10"),
+    ("ens_p50", "p50"),
+    ("ens_p90", "p90"),
+    ("ens_lo", "min"),
+    ("ens_hi", "max"),
+];
+
 /// Wires a full ensemble workload into a [`TaskGraph`]:
 ///
 /// ```text
 /// m0 … mN ──► ens (batched regrid + stack)
 ///               ├─► ens_mean ──► per region: clip_R ─► normals_R
 ///               │                                   └► series_R
-///               ├─► ens_p10 / ens_p50 / ens_p90
-///               ├─► ens_lo
-///               └─► ens_hi
+///               └─► ens_order (p10, p50, p90, min, max in one pass)
+///                     └─► ens_p10 / ens_p50 / ens_p90 / ens_lo / ens_hi
 /// ```
 ///
 /// N member sources fan into one batched-regrid node (one plan-cache
 /// consult, one blocked multi-RHS apply), which fans back out into the
-/// ensemble reductions and per-region chains — wide where members and
+/// ensemble mean with its per-region chains and one order-statistics node
+/// that sorts each gridpoint's members once. The five named outputs are
+/// plane slices of `ens_order`. The graph is wide where members and
 /// regions are independent, so the event-driven executor can overlap
 /// everything but the regrid barrier itself.
 pub fn build_graph(
@@ -178,11 +216,12 @@ pub fn build_graph(
     }
 
     g.add_task("ens_mean", &["ens"], move |deps| mean(dep(deps, "ens")?))?;
-    g.add_task("ens_p10", &["ens"], move |deps| percentile(dep(deps, "ens")?, 10.0))?;
-    g.add_task("ens_p50", &["ens"], move |deps| percentile(dep(deps, "ens")?, 50.0))?;
-    g.add_task("ens_p90", &["ens"], move |deps| percentile(dep(deps, "ens")?, 90.0))?;
-    g.add_task("ens_lo", &["ens"], move |deps| Ok(extremes(dep(deps, "ens")?)?.0))?;
-    g.add_task("ens_hi", &["ens"], move |deps| Ok(extremes(dep(deps, "ens")?)?.1))?;
+    g.add_task("ens_order", &["ens"], move |deps| order_stats(dep(deps, "ens")?, &GRAPH_QS))?;
+    for (p, (name, suffix)) in GRAPH_PLANES.into_iter().enumerate() {
+        g.add_task(name, &["ens_order"], move |deps| {
+            stat_plane(dep(deps, "ens_order")?, p, suffix)
+        })?;
+    }
 
     for region in regions {
         let clip_name = format!("clip_{}", region.name);
@@ -265,7 +304,23 @@ mod tests {
         assert_eq!(report.outputs["ens"].array, s.array);
         let want_mean = mean(&s).unwrap();
         assert_eq!(report.outputs["ens_mean"].array, want_mean.array);
-        assert_eq!(report.outputs["ens_p90"].array, percentile(&s, 90.0).unwrap().array);
+        let (lo, hi) = extremes(&s).unwrap();
+        let want = [
+            ("ens_p10", percentile(&s, 10.0).unwrap()),
+            ("ens_p50", percentile(&s, 50.0).unwrap()),
+            ("ens_p90", percentile(&s, 90.0).unwrap()),
+            ("ens_lo", lo),
+            ("ens_hi", hi),
+        ];
+        let bits = |v: &Variable| -> Vec<u32> { v.array.data().iter().map(|x| x.to_bits()).collect() };
+        for (name, want) in want {
+            let got = &report.outputs[name];
+            assert_eq!(got.id, want.id, "{name}");
+            assert_eq!(got.axes, want.axes, "{name}");
+            assert_eq!(got.attributes, want.attributes, "{name}");
+            assert_eq!(got.array, want.array, "{name}");
+            assert_eq!(bits(got), bits(&want), "{name}");
+        }
         let clip = clip_region(&want_mean, &regions[0]).unwrap();
         assert_eq!(report.outputs["clip_tropics"].array, clip.array);
         assert_eq!(

@@ -20,13 +20,17 @@
 //! the exact order (and precision) the pre-fusion eager code used, so
 //! results are additionally *bit-identical to the seed implementation* —
 //! and parallelism comes from distributing independent output cells.
+//! [`order_stats_axis`] is the one order-statistics kernel: percentiles,
+//! min and max from a single gather and sort per cell, over fixed
+//! [`BLOCK`]-cell ranges of the output; [`percentile_axis`], [`min_axis`]
+//! and [`max_axis`] are planes of it.
 
 use cdms::{CdmsError, MaskedArray, Result};
 use rayon::prelude::*;
 
-/// Lanes per partial-sum block. Fixed — never derived from the worker
-/// count — so the partial layout (and thus the merged result) is a
-/// function of the data alone.
+/// Lanes per partial-sum block, and output cells per [`order_stats_axis`]
+/// block. Fixed — never derived from the worker count — so the partial
+/// layout (and thus the merged result) is a function of the data alone.
 pub const BLOCK: usize = 4096;
 
 /// Neumaier-compensated accumulator: tracks a running compensation term so
@@ -432,99 +436,158 @@ pub fn selected_mean_axis(
 }
 
 /// Minimum along `axis`, masked lanes skipped, empty cells masked — the
-/// deterministic-parallel `reduce_axis(Min)`: same strict-compare
-/// accumulation (from `+∞`, ascending axis order) as the eager kernel, so
-/// results are bit-identical to it, with outer slabs distributed over the
-/// pool. Order-insensitive anyway for NaN-free data, so thread-count
-/// invariance is immediate.
+/// min plane of [`order_stats_axis`], whose strict-compare accumulation
+/// (from `+∞`, ascending axis order) is the eager `reduce_axis(Min)`'s, so
+/// results are bit-identical to it.
 pub fn min_axis(arr: &MaskedArray, axis: usize) -> Result<MaskedArray> {
-    extreme_axis(arr, axis, true)
+    order_stats_axis(arr, axis, &[])?.take(0, 0)
 }
 
 /// Maximum along `axis` — [`min_axis`]'s mirror (from `−∞`).
 pub fn max_axis(arr: &MaskedArray, axis: usize) -> Result<MaskedArray> {
-    extreme_axis(arr, axis, false)
+    order_stats_axis(arr, axis, &[])?.take(0, 1)
 }
 
-fn extreme_axis(arr: &MaskedArray, axis: usize, want_min: bool) -> Result<MaskedArray> {
-    let (outer, k, inner, out_shape) = axis_split(arr, axis)?;
-    let (src_d, src_m) = (arr.data(), arr.mask());
-    let init = if want_min { f32::INFINITY } else { f32::NEG_INFINITY };
-    let mut data = vec![init; outer * inner];
-    let mut mask = vec![false; outer * inner];
-    data.par_chunks_mut(inner.max(1))
-        .zip(mask.par_chunks_mut(inner.max(1)))
-        .enumerate()
-        .for_each(|(o, (dd, mm))| {
-            let mut cnt = vec![0u32; dd.len()];
-            for j in 0..k {
-                let base = (o * k + j) * inner;
-                let drow = src_d.get(base..base + inner).unwrap_or_default();
-                let mrow = src_m.get(base..base + inner).unwrap_or_default();
-                for (((d, c), &v), &m) in dd.iter_mut().zip(cnt.iter_mut()).zip(drow).zip(mrow)
-                {
-                    if !m {
-                        // strict compare, exactly the eager Acc::push
-                        if (want_min && v < *d) || (!want_min && v > *d) {
-                            *d = v;
-                        }
-                        *c += 1;
-                    }
-                }
-            }
-            for ((d, mk), &c) in dd.iter_mut().zip(mm.iter_mut()).zip(&cnt) {
-                if c == 0 {
-                    *d = 0.0;
-                    *mk = true;
-                }
-            }
-        });
-    MaskedArray::with_mask(data, mask, &out_shape)
-}
-
-/// The `q`-th percentile (0–100) along `axis`: per output cell, the valid
-/// values are collected, sorted with `total_cmp` (a total order, so the
-/// result is deterministic), and linearly interpolated at rank
-/// `q/100 × (n−1)` in `f64`. Masked lanes are skipped; cells with no valid
-/// input are masked. Output cells are independent, so parallelism over the
-/// outer slabs cannot change any cell's value.
+/// The `q`-th percentile (0–100) along `axis` — the one percentile plane
+/// of [`order_stats_axis`].
 pub fn percentile_axis(arr: &MaskedArray, axis: usize, q: f64) -> Result<MaskedArray> {
-    if !(0.0..=100.0).contains(&q) {
+    order_stats_axis(arr, axis, &[q])?.take(0, 0)
+}
+
+/// Output cells per key tile inside a [`BLOCK`]: `TILE` cells × `k` keys
+/// stay in L1 for ensembles of a few dozen members.
+const TILE: usize = 64;
+
+/// Every requested percentile plus min and max along `axis`, in one pass
+/// per output cell:
+///
+/// 1. the valid values are gathered once, in ascending axis order, taking
+///    min and max by strict compare from `±∞` on the way — the eager
+///    `reduce_axis(Min/Max)` arithmetic, NaN and signed zeros included;
+/// 2. they are sorted once under the `f32::total_cmp` order (as integer
+///    keys: the `total_cmp` bit transform is a bijection, so the sorted
+///    values are bit-for-bit those of `sort_by(f32::total_cmp)`), and only
+///    when `qs` is non-empty;
+/// 3. each `q` (0–100) is linearly interpolated at rank `q/100 × (n−1)` in
+///    `f64`.
+///
+/// The result stacks the statistics on a new leading axis: one plane per
+/// `q` in order, then min, then max. Masked lanes are skipped; a cell with
+/// no valid input is `0.0` and masked in every plane. Output cells are
+/// split into fixed [`BLOCK`]-cell ranges filled in parallel, and each
+/// cell is computed serially, so no value depends on the thread count.
+pub fn order_stats_axis(arr: &MaskedArray, axis: usize, qs: &[f64]) -> Result<MaskedArray> {
+    if let Some(q) = qs.iter().find(|q| !(0.0..=100.0).contains(*q)) {
         return Err(CdmsError::Invalid(format!("percentile {q} outside [0, 100]")));
     }
     let (outer, k, inner, out_shape) = axis_split(arr, axis)?;
-    let (src_d, src_m) = (arr.data(), arr.mask());
-    let mut data = vec![0.0f32; outer * inner];
-    let mut mask = vec![false; outer * inner];
-    data.par_chunks_mut(inner.max(1))
-        .zip(mask.par_chunks_mut(inner.max(1)))
+    let cells = outer * inner;
+    let planes = qs.len() + 2;
+    let mut data = vec![0.0f32; planes * cells];
+    let mut mask = vec![false; cells];
+    // block b's range of every plane, so blocks fill disjoint output
+    let mut outs: Vec<Vec<&mut [f32]>> =
+        (0..cells.div_ceil(BLOCK)).map(|_| Vec::with_capacity(planes)).collect();
+    for plane in data.chunks_mut(cells.max(1)) {
+        for (slots, part) in outs.iter_mut().zip(plane.chunks_mut(BLOCK)) {
+            slots.push(part);
+        }
+    }
+    let src = (arr.data(), arr.mask());
+    outs.par_iter_mut()
+        .zip(mask.par_chunks_mut(BLOCK))
         .enumerate()
-        .for_each(|(o, (dd, mm))| {
-            // per-slab scratch, reused across the slab's cells (cap = k)
-            let mut vals: Vec<f32> = Vec::with_capacity(k);
-            for (i, (d, mk)) in dd.iter_mut().zip(mm.iter_mut()).enumerate() {
-                vals.clear();
-                for j in 0..k {
-                    let idx = (o * k + j) * inner + i;
-                    if !src_m.get(idx).copied().unwrap_or(true) {
-                        vals.push(src_d.get(idx).copied().unwrap_or(0.0));
-                    }
+        .for_each(|(b, (outs, mm))| order_block(src, (k, inner), qs, b * BLOCK, outs, mm));
+    let mut shape = Vec::with_capacity(out_shape.len() + 1);
+    shape.push(planes);
+    shape.extend(out_shape);
+    MaskedArray::with_mask(data, mask.repeat(planes), &shape)
+}
+
+/// Cells `c0 .. c0 + mm.len()` of [`order_stats_axis`]: plane `p` goes to
+/// `outs[p]`, the mask to `mm`. Member rows are read one contiguous slice
+/// at a time into a cell-major tile of keys, so each cell's valid values
+/// end up side by side, in ascending axis order.
+fn order_block(
+    (src_d, src_m): (&[f32], &[bool]),
+    (k, inner): (usize, usize),
+    qs: &[f64],
+    c0: usize,
+    outs: &mut [&mut [f32]],
+    mm: &mut [bool],
+) {
+    let slots = k.max(1);
+    let mut keys = vec![0i32; TILE * slots];
+    let (mut lens, mut lo, mut hi) = ([0usize; TILE], [0.0f32; TILE], [0.0f32; TILE]);
+    let mut c = 0;
+    while c < mm.len() {
+        // a tile never crosses an outer slab
+        let (o, i) = ((c0 + c) / inner, (c0 + c) % inner);
+        let w = TILE.min(inner - i).min(mm.len() - c);
+        lens.fill(0);
+        lo.fill(f32::INFINITY);
+        hi.fill(f32::NEG_INFINITY);
+        for j in 0..k {
+            let base = (o * k + j) * inner + i;
+            let drow = src_d.get(base..base + w).unwrap_or_default();
+            let mrow = src_m.get(base..base + w).unwrap_or_default();
+            let cells = lens.iter_mut().zip(lo.iter_mut().zip(hi.iter_mut()));
+            for (((&v, &m), (len, (lo, hi))), cell_keys) in
+                drow.iter().zip(mrow).zip(cells).zip(keys.chunks_mut(slots))
+            {
+                // branch-free: the key is always written and kept only
+                // when valid; strict compares, exactly the eager Acc::push
+                if let Some(key) = cell_keys.get_mut(*len) {
+                    *key = total_key(v.to_bits() as i32);
                 }
-                if vals.is_empty() {
-                    *mk = true;
-                    continue;
-                }
-                vals.sort_by(f32::total_cmp);
-                let rank = q / 100.0 * (vals.len() - 1) as f64;
-                let lo = rank.floor() as usize;
-                let hi = rank.ceil() as usize;
-                let f = rank - lo as f64;
-                let a = f64::from(vals.get(lo).copied().unwrap_or(0.0));
-                let b = f64::from(vals.get(hi).copied().unwrap_or(0.0));
-                *d = (a + (b - a) * f) as f32;
+                *len += usize::from(!m);
+                *lo = if !m && v < *lo { v } else { *lo };
+                *hi = if !m && v > *hi { v } else { *hi };
             }
-        });
-    MaskedArray::with_mask(data, mask, &out_shape)
+        }
+        let tile = keys.chunks_mut(slots).zip(lens.iter().zip(lo.iter().zip(&hi)));
+        for (x, (cell_keys, (&len, (&lo, &hi)))) in tile.take(w).enumerate() {
+            let cell = c + x;
+            let valid = cell_keys.get_mut(..len).unwrap_or_default();
+            if valid.is_empty() {
+                if let Some(mk) = mm.get_mut(cell) {
+                    *mk = true;
+                }
+                continue;
+            }
+            if !qs.is_empty() {
+                valid.sort_unstable();
+            }
+            let stats = qs.iter().map(|&q| interpolate(valid, q)).chain([lo, hi]);
+            for (out, s) in outs.iter_mut().zip(stats) {
+                if let Some(d) = out.get_mut(cell) {
+                    *d = s;
+                }
+            }
+        }
+        c += w;
+    }
+}
+
+/// The `f32::total_cmp` bit transform on `f32` bits read as `i32`: flips
+/// the magnitude bits of negatives, so integer order is `total_cmp` order.
+/// Its own inverse.
+#[inline]
+fn total_key(bits: i32) -> i32 {
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// The `q`-th percentile of sorted keys: rank `q/100 × (n−1)`, linearly
+/// interpolated in `f64`.
+fn interpolate(sorted: &[i32], q: f64) -> f32 {
+    let at = |r: usize| {
+        f64::from(sorted.get(r).map_or(0.0, |&key| f32::from_bits(total_key(key) as u32)))
+    };
+    let rank = q / 100.0 * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let f = rank - lo as f64;
+    let (a, b) = (at(lo), at(rank.ceil() as usize));
+    (a + (b - a) * f) as f32
 }
 
 #[cfg(test)]

@@ -16,9 +16,13 @@
 //!    and counts agree exactly; data agrees to tolerance (prefix-sum
 //!    differencing regroups the f64 window sum, which is not a
 //!    bit-preserving transformation), and exactly for window 1.
+//! 4. **One order-statistics pass is a naive per-cell sort.**
+//!    `reduce::order_stats_axis` matches, bit for bit and at 1, 2 and 8
+//!    workers, a per-cell reference that sorts the valid values with
+//!    `total_cmp` and takes strict-compare min and max from `±∞`.
 
 use cdat::expr::{Expr, PredFn, UnaryFn};
-use cdat::{averager, climatology, eager_ref, pipeline, statistics};
+use cdat::{averager, climatology, eager_ref, pipeline, reduce, statistics};
 use cdms::synth::SynthesisSpec;
 use cdms::{Axis, AxisKind, MaskedArray, Variable};
 use std::sync::Mutex;
@@ -422,4 +426,114 @@ fn running_mean_handles_masked_runs_and_inner_time_axis() {
     for window in [1usize, 3, 7, 21] {
         running_mean_case(&var, window);
     }
+}
+
+// ---- 4. order statistics match a naive per-cell sort ----
+
+/// Values that stress the order: NaN of both signs, signed zeros, both
+/// infinities and ties.
+const SPECIALS: [f32; 8] = [f32::NAN, -f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0, -1.0];
+
+/// Random data with a quarter special values, about a fifth of lanes
+/// masked, and every output cell `c` with `c % 7 == 3` masked along the
+/// whole of `axis`.
+fn order_stats_input(rng: &mut Rng, shape: &[usize], axis: usize) -> MaskedArray {
+    let k = shape[axis];
+    let inner: usize = shape[axis + 1..].iter().product();
+    let n: usize = shape.iter().product();
+    let mut data = Vec::with_capacity(n);
+    let mut mask = Vec::with_capacity(n);
+    for idx in 0..n {
+        data.push(if rng.chance(25) { SPECIALS[rng.below(SPECIALS.len())] } else { rng.value() });
+        let cell = idx / (k * inner) * inner + idx % inner;
+        mask.push(rng.chance(20) || cell % 7 == 3);
+    }
+    MaskedArray::with_mask(data, mask, shape).expect("array")
+}
+
+/// Per cell: collect the valid values in axis order, strict-compare min
+/// and max from `±∞`, `sort_by(f32::total_cmp)` and interpolate each
+/// rank in `f64`. Returns one bit vector per plane (each `q`, min, max)
+/// and the cell mask.
+fn naive_order_stats(a: &MaskedArray, axis: usize, qs: &[f64]) -> (Vec<Vec<u32>>, Vec<bool>) {
+    let shape = a.shape();
+    let outer: usize = shape[..axis].iter().product();
+    let k = shape[axis];
+    let inner: usize = shape[axis + 1..].iter().product();
+    let mut planes = vec![Vec::new(); qs.len() + 2];
+    let mut mask = Vec::new();
+    for o in 0..outer {
+        for i in 0..inner {
+            let mut vals = Vec::new();
+            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+            for j in 0..k {
+                let idx = (o * k + j) * inner + i;
+                if !a.mask()[idx] {
+                    let v = a.data()[idx];
+                    vals.push(v);
+                    if v < lo {
+                        lo = v;
+                    }
+                    if v > hi {
+                        hi = v;
+                    }
+                }
+            }
+            mask.push(vals.is_empty());
+            if vals.is_empty() {
+                planes.iter_mut().for_each(|p| p.push(0.0f32.to_bits()));
+                continue;
+            }
+            vals.sort_by(f32::total_cmp);
+            for (p, &q) in planes.iter_mut().zip(qs) {
+                let rank = q / 100.0 * (vals.len() - 1) as f64;
+                let (l, h) = (rank.floor() as usize, rank.ceil() as usize);
+                let (x, y) = (f64::from(vals[l]), f64::from(vals[h]));
+                p.push(((x + (y - x) * (rank - l as f64)) as f32).to_bits());
+            }
+            planes[qs.len()].push(lo.to_bits());
+            planes[qs.len() + 1].push(hi.to_bits());
+        }
+    }
+    (planes, mask)
+}
+
+#[test]
+fn order_stats_match_naive_reference_at_every_thread_count() {
+    let _guard = ENV_LOCK.lock().expect("env lock");
+    let mut rng = Rng::new(1405);
+    // (shape, axis): every axis of a rank-3 array, axis 0 with outer = 1
+    // and cell counts off a BLOCK multiple, k = 1, and a rank-1 array
+    let cases: [(&[usize], usize); 7] = [
+        (&[7, 3, 1500], 0),
+        (&[7, 3, 1500], 1),
+        (&[7, 3, 1500], 2),
+        (&[48, 4099], 0),
+        (&[1, 4099], 0),
+        (&[4099, 1], 1),
+        (&[9], 0),
+    ];
+    let q_sets: [&[f64]; 3] = [&[0.0, 10.0, 33.3, 50.0, 90.0, 100.0], &[50.0], &[]];
+    for (shape, axis) in cases {
+        let a = order_stats_input(&mut rng, shape, axis);
+        for qs in q_sets {
+            let (want, want_mask) = naive_order_stats(&a, axis, qs);
+            for threads in [1usize, 2, 8] {
+                let got = with_threads(threads, || reduce::order_stats_axis(&a, axis, qs))
+                    .expect("order stats");
+                let ctx = format!("shape {shape:?}, axis {axis}, qs {qs:?}, {threads} threads");
+                assert_eq!(got.shape()[0], qs.len() + 2, "{ctx}");
+                let cells = want_mask.len();
+                for (p, plane) in want.iter().enumerate() {
+                    let bits: Vec<u32> =
+                        got.data()[p * cells..(p + 1) * cells].iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(&bits, plane, "{ctx}, plane {p}");
+                    assert_eq!(&got.mask()[p * cells..(p + 1) * cells], &want_mask[..], "{ctx}");
+                }
+            }
+        }
+    }
+    let a = order_stats_input(&mut rng, &[4, 5], 0);
+    assert!(reduce::order_stats_axis(&a, 0, &[50.0, 100.5]).is_err());
+    assert!(reduce::order_stats_axis(&a, 2, &[50.0]).is_err());
 }
